@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 configuration error, 3 physics instability,
-4 numerical failure.
+Exit codes: 0 success, 2 configuration error or an input outside the
+physical domain, 3 physics instability, 4 numerical or fit failure.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import sys
 
 from . import __version__
 from .config import config_digest, load_config
-from .errors import ConfigError, InstabilityError, NumericalError
+from .errors import ConfigError, DomainError, FitError, InstabilityError, NumericalError
 from .scenarios import run_scenario
 from .sysmodel import validate_system
 
@@ -79,13 +79,13 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{scenario.name}: {len(manifest.artifacts)} artifacts in {out_dir}")
             return EXIT_OK
         raise AssertionError(f"unhandled command {args.command}")
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InstabilityError as exc:
         print(f"instability: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
-    except NumericalError as exc:
+    except (NumericalError, FitError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

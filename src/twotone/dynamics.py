@@ -6,7 +6,9 @@ coupling of strength g = sqrt(gamma kappa) / 2 between its cavity and the
 mechanics. The six quadratures (X_a1, P_a1, X_a2, P_a2, X_b, P_b) then obey
 linear Langevin equations du/dt = A u + noise; the steady-state covariance
 solves the Lyapunov equation A V + V A^T + D = 0 and emitted spectra follow
-from input-output theory on the frequency-domain transfer matrix.
+from input-output theory on the frequency-domain transfer matrix. Spectra
+and the probe response come from one batched solve of the resolvent over
+the whole frequency grid.
 
 Tone detunings are absorbed into a co-rotating frame: the mechanical frame
 may shift by s_b and each cavity frame by s_j, which turns symmetric pair
@@ -34,8 +36,6 @@ from scipy.linalg import solve_continuous_lyapunov
 from .analytic import QuadratureMoments
 from .errors import DomainError, InstabilityError, NumericalError
 from .sysmodel import LOWER, UPPER, DriveSet, SystemConfig
-
-BASIS = ("X_a1", "P_a1", "X_a2", "P_a2", "X_b", "P_b")
 
 _LYAPUNOV_RESIDUAL_RTOL = 1e-10
 
@@ -68,7 +68,6 @@ class LinearModel:
 
     drift: NDArray[np.float64]
     diffusion: NDArray[np.float64]
-    basis: tuple[str, ...]
     channels: tuple[InputChannel, ...]
     complex_drift: NDArray[np.complex128]
     frame_shifts: tuple[float, float, float]
@@ -300,7 +299,6 @@ def build_linear_model(
     return LinearModel(
         drift=a,
         diffusion=d,
-        basis=BASIS,
         channels=tuple(channels),
         complex_drift=c,
         frame_shifts=(s1, s2, s_b),
@@ -374,6 +372,18 @@ def spectrum_grid(
     return np.linspace(-span, span, points)
 
 
+def _resolvent_solve(m: LinearModel, w: NDArray, index: int, *, adjoint: bool) -> NDArray:
+    """Resolvent column ``index`` of (-i w I - C) at every frame frequency w.
+
+    One batched solve, one result row per frequency. With ``adjoint`` the
+    transposed systems are solved, giving the resolvent row instead.
+    """
+    eye = np.eye(6, dtype=complex)
+    mats = np.multiply.outer(-1j * w, eye)
+    mats -= m.complex_drift
+    return np.linalg.solve(mats.transpose(0, 2, 1) if adjoint else mats, eye[index])
+
+
 def output_spectrum(
     m: LinearModel,
     cavity_index: int,
@@ -420,27 +430,15 @@ def output_spectrum(
             "rotating-wave model loses accuracy"
         )
 
-    b = m.noise_input_matrix()
     occ = np.array([ch.occupancy for ch in m.channels])
     ext_col = next(
         2 * k for k, ch in enumerate(m.channels) if ch.label == f"cav{cavity_index}_ext"
     )
-    out_row = 2 * (cavity_index - 1)
-    sqrt_ext = np.sqrt(cav.kappa_ext)
-    eye = np.eye(6, dtype=complex)
-    unit = np.zeros(6, dtype=complex)
-    unit[out_row] = 1.0
-
-    flux = np.empty_like(grid)
-    for i, w_lab in enumerate(grid):
-        w = w_lab - shift
-        # row of the resolvent reaching the output mode: solve the adjoint
-        row = np.linalg.solve((-1j * w * eye - m.complex_drift).T, unit)
-        r = sqrt_ext * (row @ b)
-        r[ext_col] -= 1.0
-        direct = np.abs(r[0::2]) ** 2
-        anomalous = np.abs(r[1::2]) ** 2
-        flux[i] = float(direct @ occ + anomalous @ (occ + 1.0))
+    # rows of the resolvent reaching the output mode: solve the adjoint
+    rows = _resolvent_solve(m, grid - shift, 2 * (cavity_index - 1), adjoint=True)
+    r = np.sqrt(cav.kappa_ext) * (rows @ m.noise_input_matrix())
+    r[:, ext_col] -= 1.0
+    flux = np.vecdot(np.abs(r[:, 0::2]) ** 2, occ) + np.vecdot(np.abs(r[:, 1::2]) ** 2, occ + 1.0)
 
     meta = {
         "cavity": cavity_index,
@@ -474,20 +472,10 @@ def driven_response(
     m = build_linear_model(cfg, ds)
     if not m.is_stable:
         raise InstabilityError("cannot evaluate the driven response of an unstable model")
-    shift = m.frame_shifts[probe_cavity - 1]
-    cav = cfg.cavity(probe_cavity)
     idx = 2 * (probe_cavity - 1)
-    eye = np.eye(6, dtype=complex)
-    unit = np.zeros(6, dtype=complex)
-    unit[idx] = 1.0
-
-    grid = np.asarray(probe_grid, dtype=float)
-    s11 = np.empty(grid.shape, dtype=complex)
-    for i, w_lab in enumerate(grid):
-        w = w_lab - shift
-        green = np.linalg.solve(-1j * w * eye - m.complex_drift, unit)
-        s11[i] = 1.0 - cav.kappa_ext * green[idx]
-    return s11
+    w = np.asarray(probe_grid, dtype=float) - m.frame_shifts[probe_cavity - 1]
+    green = _resolvent_solve(m, w, idx, adjoint=False)
+    return 1.0 - cfg.cavity(probe_cavity).kappa_ext * green[:, idx]
 
 
 def transparency_window_fwhm(
@@ -543,7 +531,7 @@ def write_spectrum_csv(spectrum: Spectrum, path) -> None:
         else:
             lines.append(f"# {key}: {value}")
     lines.append("offset_hz,flux")
-    for f, s in zip(spectrum.freq, spectrum.flux):
-        lines.append(f"{f / (2.0 * np.pi):.17g},{s:.17g}")
+    columns = (spectrum.freq / (2.0 * np.pi), spectrum.flux)
+    lines += map("%.17g,%.17g".__mod__, zip(*(c.tolist() for c in columns)))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -1,7 +1,8 @@
 """Exception types shared across the toolkit.
 
-The CLI maps these onto exit codes: configuration problems exit with 2,
-physics instabilities with 3, and numerical failures with 4.
+The CLI maps these onto exit codes: configuration problems and inputs
+outside the physical domain exit with 2, physics instabilities with 3, and
+numerical and fit failures with 4.
 """
 
 

@@ -222,9 +222,18 @@ def occupancy_from_sidebands(
     area_minus / gamma_minus, n_stokes = area_plus / gamma_plus - 1 and
     calibration_factor = (area_minus / area_plus)(gamma_plus / gamma_minus),
     to be compared against n / (n + 1).
+
+    Raises
+    ------
+    FitError
+        If either sideband fell back to a zero-area fit, whose area cannot
+        calibrate the asymmetry.
     """
     if not (anti_stokes.converged and stokes.converged):
         raise DomainError("both sideband fits must have converged")
+    for name, fit in (("anti-Stokes", anti_stokes), ("Stokes", stokes)):
+        if fit.zero_area or fit.area == 0.0:
+            raise FitError(f"the {name} sideband carries no significant area")
     if gamma_minus <= 0:
         raise DomainError("anti-Stokes scattering rate must be positive")
     if gamma_plus <= 0:

@@ -113,9 +113,8 @@ def write_noisy_csv(ns: NoisySpectrum, path) -> None:
     lines.append(f"# noise_averages: {ns.noise.averages}")
     lines.append(f"# noise_seed: {ns.noise.seed}")
     lines.append("offset_hz,flux,flux_measured,std_err")
-    two_pi = 2.0 * np.pi
-    for f, t, m, e in zip(ns.freq, ns.flux_true, ns.flux_measured, ns.std_err):
-        lines.append(f"{f / two_pi:.17g},{t:.17g},{m:.17g},{e:.17g}")
+    columns = (ns.freq / (2.0 * np.pi), ns.flux_true, ns.flux_measured, ns.std_err)
+    lines += map("%.17g,%.17g,%.17g,%.17g".__mod__, zip(*(c.tolist() for c in columns)))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

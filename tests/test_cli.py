@@ -183,6 +183,33 @@ class TestCli:
             assert first == second, artifact
 
 
+class TestExitCodes:
+    """Inputs that used to end in a traceback and exit 1."""
+
+    @staticmethod
+    def backaction_with_ratios(tmp_path, ratios):
+        document = json.loads(bundled_config_path("backaction_sweep.json").read_text())
+        document["scenario"]["params"]["ratios"] = ratios
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(document))
+        return ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+
+    def test_negative_ratio_exits_two(self, tmp_path, capsys):
+        assert main(self.backaction_with_ratios(tmp_path, [-0.1, 0.1])) == 2
+        err = capsys.readouterr().err
+        assert "scattering rate must be non-negative" in err
+        assert "Traceback" not in err
+
+    def test_zero_area_sideband_exits_four(self, tmp_path, capsys):
+        assert main(self.backaction_with_ratios(tmp_path, [1e-6, 0.1])) == 4
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "Traceback" not in err
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["failure"].startswith("FitError")
+
+
 class TestScenarioRequirements:
     def test_backaction_needs_cooling_drive(self, tmp_path):
         document = minimal_document()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -312,6 +313,93 @@ class TestOutputSpectrum:
         data = np.array([[float(x) for x in ln.split(",")] for ln in body[1:]])
         assert np.allclose(data[:, 0] * TWO_PI, spectrum.freq, rtol=1e-15)
         assert np.allclose(data[:, 1], spectrum.flux, rtol=1e-15)
+
+
+def looped_flux(model, cavity_index, grid):
+    """Per-frequency reference for output_spectrum: one solve per grid point."""
+    cav = model.cfg.cavity(cavity_index)
+    shift = model.frame_shifts[cavity_index - 1]
+    b = model.noise_input_matrix()
+    occ = np.array([ch.occupancy for ch in model.channels])
+    ext_channel = [ch.label for ch in model.channels].index(f"cav{cavity_index}_ext")
+    unit = np.zeros(6, dtype=complex)
+    unit[2 * (cavity_index - 1)] = 1.0
+    flux = np.empty_like(grid)
+    for i, w_lab in enumerate(grid):
+        resolvent = -1j * (w_lab - shift) * np.eye(6) - model.complex_drift
+        r = np.sqrt(cav.kappa_ext) * (np.linalg.solve(resolvent.T, unit) @ b)
+        r[2 * ext_channel] -= 1.0
+        flux[i] = np.abs(r[0::2]) ** 2 @ occ + np.abs(r[1::2]) ** 2 @ (occ + 1.0)
+    return flux / cav.external_fraction
+
+
+def looped_response(model, probe_cavity, grid):
+    """Per-frequency reference for driven_response: one solve per grid point."""
+    idx = 2 * (probe_cavity - 1)
+    shift = model.frame_shifts[probe_cavity - 1]
+    unit = np.zeros(6, dtype=complex)
+    unit[idx] = 1.0
+    kappa_ext = model.cfg.cavity(probe_cavity).kappa_ext
+    s11 = np.empty(grid.shape, dtype=complex)
+    for i, w_lab in enumerate(grid):
+        resolvent = -1j * (w_lab - shift) * np.eye(6) - model.complex_drift
+        s11[i] = 1.0 - kappa_ext * np.linalg.solve(resolvent, unit)[idx]
+    return s11
+
+
+class TestBatchedResolvent:
+    """The batched resolvent matches one np.linalg.solve per frequency point."""
+
+    @pytest.fixture(params=["detuned_pair", "pairs_on_both_cavities"])
+    def model(self, request, cfg, mech):
+        from conftest import qnd_config
+
+        if request.param == "detuned_pair":
+            ds = qnd_config(mech, 1.0, detuning=TWO_PI * 5e4)
+        else:
+            rate = 1643.0 * mech.gamma
+            ds = DriveSet(
+                drive_pair(2, rate, 0.07 * rate) + drive_pair(1, 0.3 * rate, 0.3 * rate, angle=0.4)
+            )
+        return build_linear_model(cfg, ds)
+
+    @pytest.mark.parametrize("cavity", [1, 2])
+    @pytest.mark.parametrize("points", [1, 801])
+    def test_output_spectrum_matches_loop(self, model, cavity, points):
+        grid = spectrum_grid(model.cfg, model.ds, points=points)
+        spectrum = output_spectrum(model, cavity, grid)
+        assert spectrum.flux.shape == grid.shape
+        np.testing.assert_allclose(spectrum.flux, looped_flux(model, cavity, grid), rtol=1e-13)
+
+    @pytest.mark.parametrize("cavity", [1, 2])
+    @pytest.mark.parametrize("points", [1, 801])
+    def test_driven_response_matches_loop(self, model, cavity, points):
+        grid = spectrum_grid(model.cfg, model.ds, points=points)
+        s11 = driven_response(model.cfg, model.ds, cavity, grid)
+        assert s11.shape == grid.shape
+        np.testing.assert_allclose(s11, looped_response(model, cavity, grid), rtol=1e-13)
+
+    def test_output_spectrum_reads_resolvent_row(self, cfg, mech):
+        # the physical drift gives rows and columns of equal magnitude, so a
+        # generic drift is needed to tell the adjoint solve from the plain one
+        from conftest import qnd_config
+
+        model = build_linear_model(cfg, qnd_config(mech, 1.0, detuning=TWO_PI * 5e4))
+        rng = np.random.default_rng(8)
+        kick = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        model = dataclasses.replace(
+            model, complex_drift=model.complex_drift + 300.0 * mech.gamma * kick
+        )
+        grid = spectrum_grid(cfg, model.ds, points=201)
+        spectrum = output_spectrum(model, 1, grid)
+        np.testing.assert_allclose(spectrum.flux, looped_flux(model, 1, grid), rtol=1e-13)
+
+    def test_detuned_pair_has_frame_shift(self, cfg, mech):
+        from conftest import qnd_config
+
+        model = build_linear_model(cfg, qnd_config(mech, 1.0, detuning=TWO_PI * 5e4))
+        assert model.frame_shifts[2] != 0.0
+        assert np.linalg.cond(np.linalg.eig(model.complex_drift)[1]) > 1e5
 
 
 class TestDrivenResponse:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 
 from twotone.analytic import occupancy_from_variances, quadrature_variances
 from twotone.dynamics import build_linear_model, mechanical_marginal, output_spectrum, steady_covariance
-from twotone.errors import DomainError
+from twotone.errors import DomainError, FitError
 from twotone.inference import (
     LorentzianFit,
     TomogramFit,
@@ -120,6 +121,16 @@ class TestOccupancyFromSidebands:
     def test_zero_stokes_rate_rejected(self):
         with pytest.raises(DomainError):
             occupancy_from_sidebands(self.exact_fit(1.0), self.exact_fit(1.0), 1.0, 0.0)
+
+    @pytest.mark.parametrize("flagged", [True, False])
+    @pytest.mark.parametrize("side", ["anti_stokes", "stokes"])
+    def test_zero_area_rejected(self, side, flagged):
+        # a zero-area fallback fit used to reach the calibration ratio and
+        # raise ZeroDivisionError
+        fits = {"anti_stokes": self.exact_fit(1.0), "stokes": self.exact_fit(2.0)}
+        fits[side] = dataclasses.replace(fits[side], area=0.0, zero_area=flagged)
+        with pytest.raises(FitError, match="no significant area"):
+            occupancy_from_sidebands(fits["anti_stokes"], fits["stokes"], 1.0, 1.0)
 
     def test_unconverged_rejected(self):
         bad = LorentzianFit(

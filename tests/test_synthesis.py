@@ -1,9 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
-from twotone.dynamics import Spectrum
+from twotone.dynamics import Spectrum, write_spectrum_csv
 from twotone.errors import DomainError
-from twotone.synthesis import NoiseModel, read_noisy_csv, synthesize, write_noisy_csv
+from twotone.synthesis import (
+    NoiseModel,
+    NoisySpectrum,
+    read_noisy_csv,
+    synthesize,
+    write_noisy_csv,
+)
 
 
 @pytest.fixture()
@@ -93,3 +101,49 @@ class TestCsv:
         cut = ns.windowed(ns.freq > 0)
         assert cut.freq.min() > 0
         assert len(cut.flux_measured) == np.count_nonzero(ns.freq > 0)
+
+
+class TestGoldenBytes:
+    """Every CSV field is the `.17g` text of its float, special values too."""
+
+    SPECIAL = [math.nan, math.inf, -0.0, 5e-324, 2.5e-310, 0.1, 1.0 / 3.0, 1e300]
+    SPECIAL_TEXT = {"nan", "inf", "-inf", "-0", "4.9406564584124654e-324"}
+
+    @staticmethod
+    def data_fields(path, header):
+        lines = path.read_text().splitlines()
+        body = lines[lines.index(header) + 1 :]
+        return [line.split(",") for line in body]
+
+    def test_noisy_csv_fields(self, tmp_path):
+        freq = np.array([-math.inf, -1e300, -1.0 / 3.0, -0.0, 5e-324, 0.7, math.inf, math.nan])
+        columns = [freq] + [np.roll(self.SPECIAL, k) for k in range(3)]
+        ns = NoisySpectrum(*columns, noise=NoiseModel(averages=7, seed=5), meta={"cavity": 1})
+        path = tmp_path / "noisy.csv"
+        write_noisy_csv(ns, path)
+        rows = self.data_fields(path, "offset_hz,flux,flux_measured,std_err")
+        expected = [
+            [f"{f / (2.0 * np.pi):.17g}", f"{t:.17g}", f"{m:.17g}", f"{e:.17g}"]
+            for f, t, m, e in zip(ns.freq, ns.flux_true, ns.flux_measured, ns.std_err)
+        ]
+        assert rows == expected
+        assert self.SPECIAL_TEXT <= {x for r in rows for x in r}
+
+        back = read_noisy_csv(path)
+        np.testing.assert_array_equal(back.freq, ns.freq / (2.0 * np.pi) * (2.0 * np.pi))
+        for name in ("flux_true", "flux_measured", "std_err"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(ns, name))
+            assert np.array_equal(np.signbit(getattr(back, name)), np.signbit(getattr(ns, name)))
+        assert back.noise == ns.noise
+
+    def test_spectrum_csv_fields(self, tmp_path):
+        freq = np.array([-math.inf, -1e300, -1.0 / 3.0, -0.0, 5e-324, 0.7, 1e300, math.inf])
+        spectrum = Spectrum(freq=freq, flux=np.array(self.SPECIAL), meta={"cavity": 2})
+        path = tmp_path / "spectrum.csv"
+        write_spectrum_csv(spectrum, path)
+        rows = self.data_fields(path, "offset_hz,flux")
+        expected = [
+            [f"{f / (2.0 * np.pi):.17g}", f"{s:.17g}"] for f, s in zip(spectrum.freq, spectrum.flux)
+        ]
+        assert rows == expected
+        assert self.SPECIAL_TEXT <= {x for r in rows for x in r}
