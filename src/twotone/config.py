@@ -78,6 +78,26 @@ def _number_list(value, path: str) -> list[float]:
     return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
+def _rate_ratio(value, path: str) -> float:
+    ratio = _number(value, path)
+    if not math.isfinite(ratio):
+        raise ConfigError(f"{path} must be finite, got {ratio}")
+    if ratio < 0:
+        raise ConfigError(f"{path} = {ratio:g}: scattering rate must be non-negative")
+    return ratio
+
+
+def _rate_ratios(value, path: str) -> list[float]:
+    return [_rate_ratio(v, f"{path}[{i}]") for i, v in enumerate(_number_list(value, path))]
+
+
+def _grid_points(raw: dict, path: str) -> int:
+    points = _integer(raw.get("points", 2001), f"{path}.points")
+    if points < 2:
+        raise ConfigError(f"{path}.points must be at least 2, got {points}")
+    return points
+
+
 def _parse_mechanics(section: dict) -> MechanicalMode:
     path = "system.mechanics"
     _check_keys(section, {"frequency_hz", "damping_hz", "thermal_occupancy"}, path)
@@ -151,30 +171,33 @@ def _parse_scenario(section: dict) -> Scenario:
     params: dict = {}
     ppath = f"{path}.params"
     if name == "backaction_sweep":
-        params["ratios"] = _number_list(_require(raw, "ratios", ppath), f"{ppath}.ratios")
-        params["pair_detuning"] = TWO_PI * _number(
-            _require(raw, "pair_detuning_hz", ppath), f"{ppath}.pair_detuning_hz"
-        )
-        params["points"] = _integer(raw.get("points", 2001), f"{ppath}.points")
+        params["ratios"] = _rate_ratios(_require(raw, "ratios", ppath), f"{ppath}.ratios")
+        if len(params["ratios"]) < 2:
+            raise ConfigError(f"{ppath}.ratios needs at least two values for the backaction line fit")
+        detuning = _number(_require(raw, "pair_detuning_hz", ppath), f"{ppath}.pair_detuning_hz")
+        if not 0.0 < detuning < math.inf:
+            raise ConfigError(f"{ppath}.pair_detuning_hz must be positive and finite, got {detuning}")
+        params["pair_detuning"] = TWO_PI * detuning
+        params["points"] = _grid_points(raw, ppath)
     elif name == "squeeze_sweep":
-        params["ratios"] = _number_list(_require(raw, "ratios", ppath), f"{ppath}.ratios")
-        params["measurement_ratio"] = _number(
+        params["ratios"] = _rate_ratios(_require(raw, "ratios", ppath), f"{ppath}.ratios")
+        params["measurement_ratio"] = _rate_ratio(
             _require(raw, "measurement_ratio", ppath), f"{ppath}.measurement_ratio"
         )
-        params["points"] = _integer(raw.get("points", 2001), f"{ppath}.points")
+        params["points"] = _grid_points(raw, ppath)
     elif name == "tomography":
         params["n_phases"] = _integer(_require(raw, "n_phases", ppath), f"{ppath}.n_phases")
         if params["n_phases"] < 5:
             raise ConfigError(f"{ppath}.n_phases must be at least 5")
-        params["measurement_ratio"] = _number(
+        params["measurement_ratio"] = _rate_ratio(
             _require(raw, "measurement_ratio", ppath), f"{ppath}.measurement_ratio"
         )
-        params["points"] = _integer(raw.get("points", 2001), f"{ppath}.points")
+        params["points"] = _grid_points(raw, ppath)
     else:  # driven_response, single_spectrum
         params["cavity"] = _integer(_require(raw, "cavity", ppath), f"{ppath}.cavity")
         if params["cavity"] not in (1, 2):
             raise ConfigError(f"{ppath}.cavity must be 1 or 2")
-        params["points"] = _integer(raw.get("points", 2001), f"{ppath}.points")
+        params["points"] = _grid_points(raw, ppath)
         if "span_hz" in raw:
             params["span"] = TWO_PI * _number(raw["span_hz"], f"{ppath}.span_hz")
     outputs = section.get("output_dir")

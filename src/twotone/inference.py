@@ -128,8 +128,9 @@ def fit_lorentzian(
     Raises
     ------
     FitError
-        If the least-squares iteration does not converge on data that does
-        carry a peak.
+        If the data hold no more samples than floating parameters, or the
+        least-squares iteration does not converge on data that does carry a
+        peak.
     """
     freq = ns.freq
     y = ns.flux_measured
@@ -139,6 +140,11 @@ def fit_lorentzian(
     fixed = dict(fixed or {})
     if set(fixed) - set(_PARAM_ORDER):
         raise DomainError(f"unknown fixed parameters {set(fixed) - set(_PARAM_ORDER)}")
+    free = [name for name in _PARAM_ORDER if name not in fixed]
+    if not free:
+        raise DomainError("at least one parameter must float")
+    if len(y) <= len(free):
+        raise FitError(f"fit needs more than {len(free)} samples, got {len(y)}")
 
     smooth = _smoothed(y, max(3, len(y) // 100))
     background0 = float(np.median(smooth))
@@ -154,10 +160,6 @@ def fit_lorentzian(
     }
     start.update(init or {})
     start.update(fixed)
-
-    free = [name for name in _PARAM_ORDER if name not in fixed]
-    if not free:
-        raise DomainError("at least one parameter must float")
 
     def model(f, *theta):
         params = dict(fixed)

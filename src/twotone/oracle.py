@@ -5,6 +5,8 @@ the mechanical mode as a single collapse operator
 c = sqrt(gamma_minus) e^{i theta_minus} b + sqrt(gamma_plus) e^{i theta_plus} b+,
 the engineered squeezed bath, while the thermal environment contributes the
 usual pair of operators sqrt(gamma_m (n_th + 1)) b and sqrt(gamma_m n_th) b+.
+Every operator is linear in b and b+, so the Liouvillian is assembled in one
+pass from their combined moments (A, B, C) rather than operator by operator.
 The steady state is found by a direct linear solve for the null vector of
 the Liouvillian on a finite Fock space, with explicit truncation checks, and
 provides variances against which the closed-form and Lyapunov routes are
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from numpy.typing import NDArray
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import norm, splu
 
 from .errors import DomainError, NumericalError, TruncationError
 from .sysmodel import LOWER, UPPER, DriveSet, MechanicalMode
@@ -74,6 +76,22 @@ class EffectiveDissipators:
         ops.extend(self.engineered)
         return tuple(ops)
 
+    def moments(self) -> tuple[float, float, complex]:
+        """(A, B, C) = sum_k (|a_k|^2, |beta_k|^2, a_k conj(beta_k)).
+
+        For collapse operators c_k = a_k b + beta_k b+ these fix the whole
+        generator: sum_k c_k rho c_k+ = A b rho b+ + B b+ rho b + C b rho b
+        + conj(C) b+ rho b+, and sum_k c_k+ c_k = A b+b + B b b+
+        + conj(C) b+^2 + C b^2.
+        """
+        coeffs = np.array(self.collapse_coefficients())
+        a, beta = coeffs[:, 0], coeffs[:, 1]
+        return (
+            float(np.sum(np.abs(a) ** 2)),
+            float(np.sum(np.abs(beta) ** 2)),
+            complex(np.sum(a * np.conj(beta))),
+        )
+
 
 @dataclass(frozen=True)
 class TruncatedState:
@@ -118,28 +136,53 @@ def build_liouvillian(d: EffectiveDissipators, n_trunc: int) -> sp.csr_matrix:
     """Matrix of the Lindblad generator on the truncated space.
 
     Returns the N^2 x N^2 sparse matrix acting on column-stacked density
-    matrices: L[rho] = sum_k (c_k rho c_k+ - {c_k+ c_k, rho} / 2). The
-    representation is exact on the truncated space.
+    matrices, index p + qN for rho[p, q]:
+    L[rho] = sum_k (c_k rho c_k+ - {c_k+ c_k, rho} / 2). Every collapse
+    operator is linear in b and b+, so the sum folds into the moments
+    (A, B, C) of ``EffectiveDissipators.moments`` and L into nine index
+    shifts. The products are those of the truncated matrices
+    (b b+ = diag(1, ..., N-1, 0)), so the representation is exact on the
+    truncated space.
     """
     if n_trunc < 2:
         raise DomainError("truncation must be at least 2 to represent the mode")
-    b = _lowering(n_trunc)
-    bdag = b.conj().T
-    eye = sp.identity(n_trunc, dtype=complex, format="csr")
-    lv = sp.csr_matrix((n_trunc**2, n_trunc**2), dtype=complex)
-    for cm, cp in d.collapse_coefficients():
-        if cm == 0 and cp == 0:
-            continue
-        c = (cm * b + cp * bdag).tocsr()
-        cdc = (c.conj().T @ c).tocsr()
-        lv = lv + sp.kron(c.conj(), c) - 0.5 * sp.kron(eye, cdc) - 0.5 * sp.kron(cdc.T, eye)
-    return lv.tocsr()
+    n = n_trunc
+    A, B, C = d.moments()
+    root = np.sqrt(np.arange(n + 1))
+    # <p|b|p+1> for p = 0 .. N-2; the same array is sqrt(p) for p = 1 .. N-1
+    lower = root[1:n]
+    lower2 = root[1 : n - 1] * root[2:n]  # <p|b^2|p+2>, p = 0 .. N-3
+    ones = np.ones(n)
+    index = np.arange(n * n).reshape(n, n)  # index[q, p] = p + qN
 
+    rows, cols, vals = [], [], []
 
-def _trace_row(n: int) -> NDArray[np.float64]:
-    row = np.zeros(n * n)
-    row[np.arange(n) * (n + 1)] = 1.0
-    return row
+    def shift(dp: int, dq: int, coef: complex, fp, fq) -> None:
+        # L[(p, q), (p + dp, q + dq)] = coef * fp[p] * fq[q] on the valid rectangle
+        row = index[max(0, -dq) : n - max(0, dq), max(0, -dp) : n - max(0, dp)]
+        rows.append(row.ravel())
+        cols.append(row.ravel() + (dp + dq * n))
+        vals.append((coef * np.multiply.outer(fq, fp)).ravel())
+
+    shift(1, 1, A, lower, lower)  # A b rho b+
+    shift(-1, -1, B, lower, lower)  # B b+ rho b
+    shift(1, -1, C, lower, lower)  # C b rho b
+    shift(-1, 1, np.conj(C), lower, lower)  # conj(C) b+ rho b+
+    shift(2, 0, -0.5 * C, lower2, ones)  # -C b^2 rho / 2
+    shift(-2, 0, -0.5 * np.conj(C), lower2, ones)  # -conj(C) b+^2 rho / 2
+    shift(0, -2, -0.5 * C, ones, lower2)  # -C rho b^2 / 2
+    shift(0, 2, -0.5 * np.conj(C), ones, lower2)  # -conj(C) rho b+^2 / 2
+    # -(A b+b + B b b+) rho / 2 and its mirror
+    k = A * np.arange(n) + B * np.append(np.arange(1.0, n), 0.0)
+    rows.append(index.ravel())
+    cols.append(index.ravel())
+    vals.append((-0.5 * np.add.outer(k, k)).ravel())
+
+    row, col, val = (np.concatenate(x) for x in (rows, cols, vals))
+    keep = val != 0  # a zero moment or B = 0 at rho[0, 0] leaves no entry
+    return sp.csr_matrix(
+        (val[keep], (row[keep], col[keep])), shape=(n * n, n * n), dtype=complex
+    )
 
 
 def steady_state(lv: sp.spmatrix, *, tail_threshold: float = TAIL_THRESHOLD) -> TruncatedState:
@@ -161,15 +204,26 @@ def steady_state(lv: sp.spmatrix, *, tail_threshold: float = TAIL_THRESHOLD) -> 
     n = int(round(np.sqrt(size)))
     if n * n != size:
         raise DomainError("Liouvillian size is not a perfect square")
-    trace = _trace_row(n)
+
+    coo = lv.tocoo()
+    diagonal = np.arange(n) * (n + 1)
 
     def solve_with_replaced_row(row_index: int) -> NDArray[np.complex128]:
-        mat = lv.tolil(copy=True)
-        mat[row_index, :] = trace
+        keep = coo.row != row_index
+        mat = sp.csc_matrix(
+            (
+                np.concatenate([coo.data[keep], np.ones(n)]),
+                (
+                    np.concatenate([coo.row[keep], np.full(n, row_index)]),
+                    np.concatenate([coo.col[keep], diagonal]),
+                ),
+            ),
+            shape=(size, size),
+        )
         rhs = np.zeros(size, dtype=complex)
         rhs[row_index] = 1.0
         try:
-            return splu(mat.tocsc()).solve(rhs)
+            return splu(mat).solve(rhs)
         except RuntimeError as exc:
             raise NumericalError(f"steady-state solve failed: {exc}") from exc
 
@@ -181,7 +235,7 @@ def steady_state(lv: sp.spmatrix, *, tail_threshold: float = TAIL_THRESHOLD) -> 
             "imposed constraint row"
         )
     residual = np.linalg.norm(lv @ x1)
-    scale = sp.linalg.norm(lv) * np.linalg.norm(x1)
+    scale = norm(lv) * np.linalg.norm(x1)
     if residual > 1e-9 * max(scale, 1.0):
         raise NumericalError(f"steady-state residual {residual:.3g} too large")
 

@@ -187,21 +187,61 @@ class TestExitCodes:
     """Inputs that used to end in a traceback and exit 1."""
 
     @staticmethod
-    def backaction_with_ratios(tmp_path, ratios):
-        document = json.loads(bundled_config_path("backaction_sweep.json").read_text())
-        document["scenario"]["params"]["ratios"] = ratios
+    def bundled_with(tmp_path, name, **params):
+        document = json.loads(bundled_config_path(name).read_text())
+        document["scenario"]["params"].update(params)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(document))
         return ["run", "--config", str(path), "--out", str(tmp_path / "out")]
 
     def test_negative_ratio_exits_two(self, tmp_path, capsys):
-        assert main(self.backaction_with_ratios(tmp_path, [-0.1, 0.1])) == 2
+        assert main(self.bundled_with(tmp_path, "backaction_sweep.json", ratios=[-0.1, 0.1])) == 2
         err = capsys.readouterr().err
         assert "scattering rate must be non-negative" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("backaction_sweep.json", {"ratios": [0.1, -0.1]}),
+            ("backaction_sweep.json", {"ratios": [float("nan"), 0.1]}),
+            ("backaction_sweep.json", {"ratios": [0.1, float("inf")]}),
+            ("backaction_sweep.json", {"ratios": [0.1]}),
+            ("backaction_sweep.json", {"pair_detuning_hz": 0}),
+            ("backaction_sweep.json", {"pair_detuning_hz": -5e4}),
+            ("backaction_sweep.json", {"points": 1}),
+            ("squeeze_sweep.json", {"ratios": [0.1, -0.2]}),
+            ("squeeze_sweep.json", {"measurement_ratio": -0.1}),
+            ("squeeze_sweep.json", {"measurement_ratio": float("nan")}),
+            ("tomography.json", {"measurement_ratio": -0.3}),
+            ("driven_response.json", {"points": 0}),
+        ],
+    )
+    def test_bad_sweep_value_exits_two_before_any_artifact(self, tmp_path, capsys, name, params):
+        assert main(self.bundled_with(tmp_path, name, **params)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: scenario.params.")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "name, points",
+        [
+            ("backaction_sweep.json", 2),
+            ("backaction_sweep.json", 3),
+            ("backaction_sweep.json", 5),
+            ("squeeze_sweep.json", 2),
+            ("tomography.json", 2),
+        ],
+    )
+    def test_grid_too_small_to_fit_exits_four(self, tmp_path, capsys, name, points):
+        assert main(self.bundled_with(tmp_path, name, points=points)) == 4
+        err = capsys.readouterr().err
+        assert "numerical failure: fit needs more than 3 samples" in err
+        assert "Traceback" not in err
+
     def test_zero_area_sideband_exits_four(self, tmp_path, capsys):
-        assert main(self.backaction_with_ratios(tmp_path, [1e-6, 0.1])) == 4
+        assert main(self.bundled_with(tmp_path, "backaction_sweep.json", ratios=[1e-6, 0.1])) == 4
         err = capsys.readouterr().err
         assert "numerical failure" in err
         assert "Traceback" not in err

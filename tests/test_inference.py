@@ -95,6 +95,20 @@ class TestFitLorentzian:
         with pytest.raises(DomainError):
             fit_lorentzian(ns)
 
+    @pytest.mark.parametrize("samples, fixed", [(0, {}), (1, {"fwhm": 2.0}), (4, {}), (3, {"fwhm": 2.0})])
+    def test_too_few_samples_rejected(self, samples, fixed):
+        freq = np.linspace(-10.0, 10.0, samples)
+        truth = lorentzian(freq, 1.0, 2.0, 30.0, 5.0)
+        ns = make_noisy(freq, truth, np.full_like(freq, 0.01))
+        with pytest.raises(FitError, match="fit needs more than"):
+            fit_lorentzian(ns, fixed=fixed)
+
+    def test_one_degree_of_freedom_fits(self):
+        freq = np.linspace(-10.0, 10.0, 5)
+        ns = make_noisy(freq, lorentzian(freq, 1.0, 2.0, 30.0, 5.0), np.full_like(freq, 0.01))
+        fit = fit_lorentzian(ns, init={"center": 1.0, "fwhm": 2.0, "area": 30.0, "background": 5.0})
+        assert fit.area == pytest.approx(30.0, rel=1e-6)
+
 
 class TestOccupancyFromSidebands:
     @staticmethod

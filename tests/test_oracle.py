@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import norm
 
 from twotone.analytic import quadrature_variances
 from twotone.errors import DomainError, NumericalError, TruncationError
 from twotone.oracle import (
     EffectiveDissipators,
     TruncatedState,
+    _lowering,
     build_liouvillian,
     converged_steady_state,
     number_occupancy,
@@ -24,6 +26,92 @@ def reference_variances(n_th, gamma_m, g_minus, g_plus):
     v1 = (gamma_m * (2 * n_th + 1) + (math.sqrt(g_minus) - math.sqrt(g_plus)) ** 2) / den
     v2 = (gamma_m * (2 * n_th + 1) + (math.sqrt(g_minus) + math.sqrt(g_plus)) ** 2) / den
     return v1, v2
+
+
+def kron_liouvillian(d, n):
+    """Reference build: one Kronecker sum per collapse operator."""
+    b = _lowering(n)
+    bdag = b.conj().T
+    eye = sp.identity(n, dtype=complex, format="csr")
+    lv = sp.csr_matrix((n**2, n**2), dtype=complex)
+    for cm, cp in d.collapse_coefficients():
+        if cm == 0 and cp == 0:
+            continue
+        c = (cm * b + cp * bdag).tocsr()
+        cdc = (c.conj().T @ c).tocsr()
+        lv = lv + sp.kron(c.conj(), c) - 0.5 * sp.kron(eye, cdc) - 0.5 * sp.kron(cdc.T, eye)
+    return lv.tocsr()
+
+
+def device_dissipators(mech, g_minus, plus_ratio, meas_ratio=0.0, angle=0.0):
+    """Squeezing pair on cavity 2 plus an optional balanced measurement pair
+    on cavity 1, rates in units of the mechanical damping."""
+    rate = g_minus * mech.gamma
+    drives = drive_pair(2, rate, plus_ratio * rate)
+    if meas_ratio:
+        drives += drive_pair(1, meas_ratio * rate, meas_ratio * rate, angle=angle)
+    return EffectiveDissipators.from_drives(mech, DriveSet(drives))
+
+
+class TestMomentBuild:
+    """The (A, B, C) moment build against the Kronecker-sum reference."""
+
+    @pytest.mark.parametrize(
+        "case, n",
+        [
+            ("thermal", 30),
+            ("device_with_pair", 41),
+            ("zero_coefficient", 18),
+            ("device_with_pair", 2),
+            ("thermal", 2),
+            ("device_with_pair", 62),
+            ("zero_coefficient", 70),
+        ],
+    )
+    def test_matches_kron_sum(self, mech, case, n):
+        d = {
+            "thermal": EffectiveDissipators(gamma_m=mech.gamma, n_thermal=mech.n_thermal),
+            "device_with_pair": device_dissipators(mech, 300.0, 0.1, 0.4, angle=0.7),
+            "zero_coefficient": EffectiveDissipators(
+                gamma_m=1.0, n_thermal=0.0, engineered=((10.0 * np.exp(0.3j), 0.0),)
+            ),
+        }[case]
+        built = build_liouvillian(d, n)
+        reference = kron_liouvillian(d, n)
+        assert built.shape == reference.shape
+        assert built.nnz == reference.nnz
+        built.sort_indices()
+        reference.sort_indices()
+        np.testing.assert_array_equal(built.indptr, reference.indptr)
+        np.testing.assert_array_equal(built.indices, reference.indices)
+        np.testing.assert_allclose(built.data, reference.data, rtol=1e-14, atol=0.0)
+
+    def test_moments_fold_the_collapse_operators(self):
+        d = EffectiveDissipators(
+            gamma_m=2.0, n_thermal=1.5, engineered=((3.0, 1.0j), (2.0 * np.exp(0.2j), 0.5))
+        )
+        A, B, C = d.moments()
+        assert A == pytest.approx(2.0 * 2.5 + 9.0 + 4.0, rel=1e-15)
+        assert B == pytest.approx(2.0 * 1.5 + 1.0 + 0.25, rel=1e-15)
+        assert C == pytest.approx(3.0 * -1.0j + np.exp(0.2j), rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "g_minus, plus_ratio, meas_ratio, angle, n_trunc",
+        [
+            (2000.0, 0.0, 0.0, 0.0, 8),
+            (1000.0, 0.05, 0.0, 0.0, 12),
+            (300.0, 0.1, 0.1, 0.5, 18),
+            (200.0, 0.2, 0.3, 1.0, 27),
+            (100.0, 0.3, 0.5, 2.0, 41),
+            (60.0, 0.25, 0.9, 0.3, 62),
+        ],
+    )
+    def test_growth_ladder_ends_on_the_same_rung(
+        self, mech, g_minus, plus_ratio, meas_ratio, angle, n_trunc
+    ):
+        # rungs recorded with the Kronecker-sum build
+        d = device_dissipators(mech, g_minus, plus_ratio, meas_ratio, angle)
+        assert converged_steady_state(d).n_trunc == n_trunc
 
 
 class TestLiouvillian:
@@ -44,7 +132,7 @@ class TestLiouvillian:
         trace_row = np.zeros(625)
         trace_row[np.arange(25) * 26] = 1.0
         residual = np.max(np.abs(trace_row @ lv.toarray()))
-        assert residual < 1e-12 * sp.linalg.norm(lv)
+        assert residual < 1e-12 * norm(lv)
 
     def test_too_small_truncation_rejected(self):
         with pytest.raises(DomainError):
