@@ -22,15 +22,6 @@ from .synthesis import NoiseModel
 
 TWO_PI = 2.0 * math.pi
 
-SCENARIO_NAMES = (
-    "backaction_sweep",
-    "squeeze_sweep",
-    "tomography",
-    "driven_response",
-    "single_spectrum",
-)
-
-
 @dataclass(frozen=True)
 class Scenario:
     """A named experiment with its sweep grid, noise model and output dir."""
@@ -40,10 +31,6 @@ class Scenario:
     noise: NoiseModel
     outputs: str | None = None
     note: str | None = None
-
-    def __post_init__(self):
-        if self.name not in SCENARIO_NAMES:
-            raise ConfigError(f"unknown scenario name {self.name!r}")
 
 
 def _require(mapping: dict, key: str, path: str):
@@ -89,6 +76,10 @@ def _rate_ratio(value, path: str) -> float:
 
 def _rate_ratios(value, path: str) -> list[float]:
     return [_rate_ratio(v, f"{path}[{i}]") for i, v in enumerate(_number_list(value, path))]
+
+
+def _measurement_ratio(raw: dict, path: str) -> float:
+    return _rate_ratio(_require(raw, "measurement_ratio", path), f"{path}.measurement_ratio")
 
 
 def _grid_points(raw: dict, path: str) -> int:
@@ -150,56 +141,65 @@ def _parse_noise(section: dict, path: str) -> NoiseModel:
     )
 
 
-_PARAM_KEYS = {
-    "backaction_sweep": {"ratios", "pair_detuning_hz", "points"},
-    "squeeze_sweep": {"ratios", "measurement_ratio", "points"},
-    "tomography": {"n_phases", "measurement_ratio", "points"},
-    "driven_response": {"cavity", "points", "span_hz"},
-    "single_spectrum": {"cavity", "points", "span_hz"},
-}
+def parse_backaction_params(raw: dict, path: str) -> dict:
+    """``scenario.params`` of ``backaction_sweep``."""
+    _check_keys(raw, {"ratios", "pair_detuning_hz", "points"}, path)
+    ratios = _rate_ratios(_require(raw, "ratios", path), f"{path}.ratios")
+    if len(ratios) < 2:
+        raise ConfigError(f"{path}.ratios needs at least two values for the backaction line fit")
+    detuning = _number(_require(raw, "pair_detuning_hz", path), f"{path}.pair_detuning_hz")
+    if not 0.0 < detuning < math.inf:
+        raise ConfigError(f"{path}.pair_detuning_hz must be positive and finite, got {detuning}")
+    return {"ratios": ratios, "pair_detuning": TWO_PI * detuning, "points": _grid_points(raw, path)}
+
+
+def parse_squeeze_params(raw: dict, path: str) -> dict:
+    """``scenario.params`` of ``squeeze_sweep``."""
+    _check_keys(raw, {"ratios", "measurement_ratio", "points"}, path)
+    return {
+        "ratios": _rate_ratios(_require(raw, "ratios", path), f"{path}.ratios"),
+        "measurement_ratio": _measurement_ratio(raw, path),
+        "points": _grid_points(raw, path),
+    }
+
+
+def parse_tomography_params(raw: dict, path: str) -> dict:
+    """``scenario.params`` of ``tomography``."""
+    _check_keys(raw, {"n_phases", "measurement_ratio", "points"}, path)
+    n_phases = _integer(_require(raw, "n_phases", path), f"{path}.n_phases")
+    if n_phases < 5:
+        raise ConfigError(f"{path}.n_phases must be at least 5")
+    return {
+        "n_phases": n_phases,
+        "measurement_ratio": _measurement_ratio(raw, path),
+        "points": _grid_points(raw, path),
+    }
+
+
+def parse_probe_params(raw: dict, path: str) -> dict:
+    """``scenario.params`` of the one-cavity scenarios: ``driven_response``, ``single_spectrum``."""
+    _check_keys(raw, {"cavity", "points", "span_hz"}, path)
+    cavity = _integer(_require(raw, "cavity", path), f"{path}.cavity")
+    if cavity not in (1, 2):
+        raise ConfigError(f"{path}.cavity must be 1 or 2")
+    params = {"cavity": cavity, "points": _grid_points(raw, path)}
+    if "span_hz" in raw:
+        params["span"] = TWO_PI * _number(raw["span_hz"], f"{path}.span_hz")
+    return params
 
 
 def _parse_scenario(section: dict) -> Scenario:
+    # the table imports this module's parsers, so it is looked up here
+    from .scenarios import SCENARIOS
+
     path = "scenario"
     _check_keys(section, {"name", "noise", "params", "output_dir", "note"}, path)
     name = _require(section, "name", path)
-    if name not in SCENARIO_NAMES:
-        raise ConfigError(f"{path}.name must be one of {SCENARIO_NAMES}, got {name!r}")
+    if name not in SCENARIOS:
+        raise ConfigError(f"{path}.name must be one of {tuple(SCENARIOS)}, got {name!r}")
     noise = _parse_noise(_require(section, "noise", path), f"{path}.noise")
-    raw = _require(section, "params", path)
-    _check_keys(raw, _PARAM_KEYS[name], f"{path}.params")
-    params: dict = {}
-    ppath = f"{path}.params"
-    if name == "backaction_sweep":
-        params["ratios"] = _rate_ratios(_require(raw, "ratios", ppath), f"{ppath}.ratios")
-        if len(params["ratios"]) < 2:
-            raise ConfigError(f"{ppath}.ratios needs at least two values for the backaction line fit")
-        detuning = _number(_require(raw, "pair_detuning_hz", ppath), f"{ppath}.pair_detuning_hz")
-        if not 0.0 < detuning < math.inf:
-            raise ConfigError(f"{ppath}.pair_detuning_hz must be positive and finite, got {detuning}")
-        params["pair_detuning"] = TWO_PI * detuning
-        params["points"] = _grid_points(raw, ppath)
-    elif name == "squeeze_sweep":
-        params["ratios"] = _rate_ratios(_require(raw, "ratios", ppath), f"{ppath}.ratios")
-        params["measurement_ratio"] = _rate_ratio(
-            _require(raw, "measurement_ratio", ppath), f"{ppath}.measurement_ratio"
-        )
-        params["points"] = _grid_points(raw, ppath)
-    elif name == "tomography":
-        params["n_phases"] = _integer(_require(raw, "n_phases", ppath), f"{ppath}.n_phases")
-        if params["n_phases"] < 5:
-            raise ConfigError(f"{ppath}.n_phases must be at least 5")
-        params["measurement_ratio"] = _rate_ratio(
-            _require(raw, "measurement_ratio", ppath), f"{ppath}.measurement_ratio"
-        )
-        params["points"] = _grid_points(raw, ppath)
-    else:  # driven_response, single_spectrum
-        params["cavity"] = _integer(_require(raw, "cavity", ppath), f"{ppath}.cavity")
-        if params["cavity"] not in (1, 2):
-            raise ConfigError(f"{ppath}.cavity must be 1 or 2")
-        params["points"] = _grid_points(raw, ppath)
-        if "span_hz" in raw:
-            params["span"] = TWO_PI * _number(raw["span_hz"], f"{ppath}.span_hz")
+    parse_params, _ = SCENARIOS[name]
+    params = parse_params(_require(section, "params", path), f"{path}.params")
     outputs = section.get("output_dir")
     if outputs is not None and not isinstance(outputs, str):
         raise ConfigError(f"{path}.output_dir must be a string path")

@@ -36,6 +36,7 @@ from scipy.linalg import solve_continuous_lyapunov
 from .analytic import QuadratureMoments
 from .errors import DomainError, InstabilityError, NumericalError
 from .sysmodel import LOWER, UPPER, DriveSet, SystemConfig
+from .tables import write_csv
 
 _LYAPUNOV_RESIDUAL_RTOL = 1e-10
 
@@ -198,24 +199,20 @@ def _solve_frame_shifts(ds: DriveSet) -> tuple[float, float, float]:
     return shifts[0], shifts[1], s_b
 
 
-def _rotation_block(detuning: float, half_width: float) -> NDArray[np.float64]:
-    return np.array([[-half_width, detuning], [-detuning, -half_width]])
+# (X, P) = T (a, a+) per mode, with X = a + a+ and P = -i (a - a+)
+_QUADRATURES = np.kron(np.eye(3), np.array([[1.0, 1.0], [-1.0j, 1.0j]]))
+_QUADRATURES_INV = np.kron(np.eye(3), np.array([[0.5, 0.5j], [0.5, -0.5j]]))
 
 
-def build_linear_model(
-    cfg: SystemConfig,
-    ds: DriveSet,
-    *,
-    port_occupancies: dict[str, float] | None = None,
-) -> LinearModel:
+def build_linear_model(cfg: SystemConfig, ds: DriveSet) -> LinearModel:
     """Assemble the drift and diffusion matrices for a drive configuration.
 
-    Couplings are g_j_pm = sqrt(gamma_j_pm kappa_j) / 2 exp(i phase).
-    Each cavity decays through its external port and an internal loss port,
-    both at the cavity's thermal occupancy unless overridden through
-    ``port_occupancies`` (keys like ``"cav1_ext"``, ``"cav2_int"``,
-    ``"mech"``). Unstable models are allowed here; the steady-state solver
-    rejects them.
+    Couplings are g_j_pm = sqrt(gamma_j_pm kappa_j) / 2 exp(i phase). The
+    generator is written once, in the complex-mode basis; the real
+    quadrature drift is its change of basis T C T^-1. Each cavity decays
+    through its external port and an internal loss port, both at the
+    cavity's thermal occupancy. Unstable models are allowed here; the
+    steady-state solver rejects them.
 
     Raises
     ------
@@ -229,10 +226,8 @@ def build_linear_model(
                 f"cavity {i} violates the resolved-sideband condition; the "
                 "rotating-wave model does not apply"
             )
-    occ = port_occupancies or {}
     s1, s2, s_b = _solve_frame_shifts(ds)
 
-    a = np.zeros((6, 6))
     c = np.zeros((6, 6), dtype=complex)
     # mode detunings relative to the shifted frames
     for mode, (shift, half) in enumerate(
@@ -244,7 +239,6 @@ def build_linear_model(
     ):
         delta = -shift
         i = 2 * mode
-        a[i : i + 2, i : i + 2] = _rotation_block(delta, half)
         c[i, i] = -1j * delta - half
         c[i + 1, i + 1] = +1j * delta - half
 
@@ -256,20 +250,7 @@ def build_linear_model(
         if g_lo == 0 and g_up == 0:
             continue
         i = 2 * (j - 1)
-        # cavity quadratures driven by the mechanics and vice versa
-        a[i : i + 2, 4:6] = np.array(
-            [
-                [g_lo.imag + g_up.imag, g_lo.real - g_up.real],
-                [-(g_lo.real + g_up.real), g_lo.imag - g_up.imag],
-            ]
-        )
-        a[4:6, i : i + 2] = np.array(
-            [
-                [-g_lo.imag + g_up.imag, g_lo.real - g_up.real],
-                [-(g_lo.real + g_up.real), -g_lo.imag - g_up.imag],
-            ]
-        )
-        # complex-mode couplings: da/dt = -i(g_lo b + g_up b+), etc.
+        # da/dt = -i(g_lo b + g_up b+), db/dt = -i(conj(g_lo) a + g_up a+)
         c[i, 4] += -1j * g_lo
         c[i, 5] += -1j * g_up
         c[i + 1, 5] += 1j * np.conj(g_lo)
@@ -282,14 +263,10 @@ def build_linear_model(
     channels = []
     for j in (1, 2):
         cav = cfg.cavity(j)
-        channels.append(
-            InputChannel(f"cav{j}_ext", j - 1, cav.kappa_ext, occ.get(f"cav{j}_ext", cav.n_thermal))
-        )
+        channels.append(InputChannel(f"cav{j}_ext", j - 1, cav.kappa_ext, cav.n_thermal))
         if cav.kappa_int > 0:
-            channels.append(
-                InputChannel(f"cav{j}_int", j - 1, cav.kappa_int, occ.get(f"cav{j}_int", cav.n_thermal))
-            )
-    channels.append(InputChannel("mech", 2, cfg.mech.gamma, occ.get("mech", cfg.mech.n_thermal)))
+            channels.append(InputChannel(f"cav{j}_int", j - 1, cav.kappa_int, cav.n_thermal))
+    channels.append(InputChannel("mech", 2, cfg.mech.gamma, cfg.mech.n_thermal))
 
     d = np.zeros((6, 6))
     for ch in channels:
@@ -297,7 +274,7 @@ def build_linear_model(
         d[i : i + 2, i : i + 2] += ch.rate * ch.variance * np.eye(2)
 
     return LinearModel(
-        drift=a,
+        drift=(_QUADRATURES @ c @ _QUADRATURES_INV).real.copy(),
         diffusion=d,
         channels=tuple(channels),
         complex_drift=c,
@@ -478,14 +455,12 @@ def driven_response(
     return 1.0 - cfg.cavity(probe_cavity).kappa_ext * green[:, idx]
 
 
-def transparency_window_fwhm(
-    cfg: SystemConfig,
-    ds: DriveSet,
-    probe_cavity: int,
-    *,
-    points: int = 801,
-    span_factor: float = 6.0,
-) -> float:
+# probe grid of the window fit: points, and half-span in effective linewidths
+_WINDOW_POINTS = 801
+_WINDOW_SPAN = 6.0
+
+
+def transparency_window_fwhm(cfg: SystemConfig, ds: DriveSet, probe_cavity: int) -> float:
     """Fitted full width at half maximum of the transparency window.
 
     Samples the complex reflection across the mechanically induced
@@ -497,7 +472,7 @@ def transparency_window_fwhm(
     from scipy.optimize import least_squares
 
     width_guess = abs(effective_linewidth(cfg, ds))
-    grid = np.linspace(-span_factor * width_guess, span_factor * width_guess, points)
+    grid = np.linspace(-_WINDOW_SPAN * width_guess, _WINDOW_SPAN * width_guess, _WINDOW_POINTS)
     s11 = driven_response(cfg, ds, probe_cavity, grid)
 
     edge = 0.5 * (s11[0] + s11[-1])
@@ -523,15 +498,5 @@ def transparency_window_fwhm(
 
 def write_spectrum_csv(spectrum: Spectrum, path) -> None:
     """Serialize a spectrum as CSV with `# key: value` metadata comments."""
-    lines = []
-    for key, value in spectrum.meta.items():
-        if key == "warnings":
-            for w in value:
-                lines.append(f"# warning: {w}")
-        else:
-            lines.append(f"# {key}: {value}")
-    lines.append("offset_hz,flux")
     columns = (spectrum.freq / (2.0 * np.pi), spectrum.flux)
-    lines += map("%.17g,%.17g".__mod__, zip(*(c.tolist() for c in columns)))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, ("offset_hz", "flux"), columns, spectrum.meta.items())

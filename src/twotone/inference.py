@@ -305,7 +305,9 @@ def tomography_sweep(
 
     Needs at least five distinct phases spanning at least pi. Requesting all
     three moments from phases that are all multiples of pi/2 leaves v12
-    unconstrained and raises a degenerate-design error.
+    unconstrained and raises a degenerate-design error. Moments that make
+    the variance negative at some phase are a fit outcome and raise
+    ``FitError``.
     """
     phases = np.asarray(phases, dtype=float)
     variances = np.asarray(variances, dtype=float)
@@ -339,7 +341,10 @@ def tomography_sweep(
     # v(phi) = mean + R cos(2 phi - psi): the minimum lies at (psi + pi) / 2
     psi = math.atan2(v12, (v1 - v2) / 2.0)
     angle = ((psi + math.pi) / 2.0) % math.pi
-    return TomogramFit(v1=v1, v2=v2, v12=v12, angle=angle, cov=cov, chi2_dof=chi2)
+    try:
+        return TomogramFit(v1=v1, v2=v2, v12=v12, angle=angle, cov=cov, chi2_dof=chi2)
+    except DomainError as exc:
+        raise FitError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -494,13 +499,8 @@ def backaction_evasion_report(
     )
 
 
-def write_fit_records(records: dict, path, units: dict | None = None) -> None:
-    """Emit fit results as a JSON record with a units sidecar."""
+def write_fit_records(records: dict, path) -> None:
+    """Emit fit results as a JSON record; ``FIT_RECORD_UNITS`` gives the units."""
     with open(path, "w") as fh:
         json.dump(records, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if units is not None:
-        sidecar = str(path) + ".units.json"
-        with open(sidecar, "w") as fh:
-            json.dump(units, fh, indent=2, sort_keys=True)
-            fh.write("\n")

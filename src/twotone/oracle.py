@@ -185,7 +185,7 @@ def build_liouvillian(d: EffectiveDissipators, n_trunc: int) -> sp.csr_matrix:
     )
 
 
-def steady_state(lv: sp.spmatrix, *, tail_threshold: float = TAIL_THRESHOLD) -> TruncatedState:
+def steady_state(lv: sp.spmatrix) -> TruncatedState:
     """Normalized kernel vector of the Liouvillian as a density matrix.
 
     Solves the trace-constrained linear system obtained by replacing one row
@@ -198,7 +198,7 @@ def steady_state(lv: sp.spmatrix, *, tail_threshold: float = TAIL_THRESHOLD) -> 
     NumericalError
         If the kernel is degenerate or the solve fails.
     TruncationError
-        If the top-level population exceeds ``tail_threshold``.
+        If the top-level population exceeds ``TAIL_THRESHOLD``.
     """
     size = lv.shape[0]
     n = int(round(np.sqrt(size)))
@@ -243,10 +243,10 @@ def steady_state(lv: sp.spmatrix, *, tail_threshold: float = TAIL_THRESHOLD) -> 
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
     state = TruncatedState(rho=rho, n_trunc=n)
-    if state.tail_population > tail_threshold:
+    if state.tail_population > TAIL_THRESHOLD:
         raise TruncationError(
             f"top-level population {state.tail_population:.3g} exceeds "
-            f"{tail_threshold:.1g}; increase the truncation"
+            f"{TAIL_THRESHOLD:.1g}; increase the truncation"
         )
     return state
 
@@ -285,17 +285,16 @@ def converged_steady_state(
     *,
     n_start: int = 8,
     n_max: int = 120,
-    tail_threshold: float = TAIL_THRESHOLD,
 ) -> TruncatedState:
     """Steady state at an automatically increased truncation.
 
     Grows the Fock space by half-steps until the top-level population falls
-    below the threshold.
+    below ``TAIL_THRESHOLD``.
     """
     n = n_start
     while True:
         try:
-            return steady_state(build_liouvillian(d, n), tail_threshold=tail_threshold)
+            return steady_state(build_liouvillian(d, n))
         except TruncationError:
             if n >= n_max:
                 raise

@@ -22,7 +22,13 @@ import numpy as np
 
 from . import __version__
 from .analytic import quadrature_variances, variance_of_phase
-from .config import Scenario
+from .config import (
+    Scenario,
+    parse_backaction_params,
+    parse_probe_params,
+    parse_squeeze_params,
+    parse_tomography_params,
+)
 from .dynamics import (
     build_linear_model,
     driven_response,
@@ -45,6 +51,7 @@ from .inference import (
 )
 from .synthesis import NoiseModel, synthesize, write_noisy_csv
 from .sysmodel import LOWER, UPPER, Drive, DriveSet, SystemConfig, drive_pair
+from .tables import write_csv
 
 TWO_PI = 2.0 * math.pi
 
@@ -85,17 +92,6 @@ class RunManifest:
         return path
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
-def _write_table(path: Path, header: list[str], rows: list[list[float]]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _require_drive(ds: DriveSet, cavity: int, sideband: str, scenario: str) -> Drive:
     d = ds.get(cavity, sideband)
     if d is None:
@@ -113,24 +109,40 @@ def _reject_drives(ds: DriveSet, cavity: int, scenario: str) -> None:
         )
 
 
-def _fit_variance(cfg, ds, gamma_meas, noise, stream, points, out_dir, tag, artifacts):
-    """Spectrum of the measurement cavity, synthesized and fitted.
+def _write_record(manifest: RunManifest, out_dir: Path, name: str, records: dict) -> None:
+    write_fit_records(records, out_dir / name)
+    manifest.artifacts.append(name)
+
+
+def _write_columns(manifest: RunManifest, out_dir: Path, name: str, names, columns) -> None:
+    write_csv(out_dir / name, names, columns)
+    manifest.artifacts.append(name)
+
+
+def _measure(cfg, ds, cavity, noise, stream, out_dir, manifest, tag, *, points, span=None):
+    """One synthesized measurement of a cavity's output, written as ``{tag}.csv``.
+
+    Returns the ideal spectrum and its noisy measurement.
+    """
+    grid = spectrum_grid(cfg, ds, points=points, span=span)
+    spectrum = output_spectrum(build_linear_model(cfg, ds), cavity, grid)
+    noisy = synthesize(spectrum, noise, stream=stream)
+    write_noisy_csv(noisy, out_dir / f"{tag}.csv")
+    manifest.artifacts.append(f"{tag}.csv")
+    return spectrum, noisy
+
+
+def _measure_area(cfg, ds, cavity, noise, stream, out_dir, manifest, tag, points):
+    """Fitted Lorentzian of one measurement, recorded as ``{tag}_fit.json``.
 
     The fit linewidth is pinned to the calibrated total damping, as the
     driven-response calibration provides it; this keeps weak-peak areas
-    unbiased. Returns (variance, error) with variance = fitted area /
-    gamma_meas.
+    unbiased.
     """
-    model = build_linear_model(cfg, ds)
-    spectrum = output_spectrum(model, 1, spectrum_grid(cfg, ds, points=points))
-    noisy = synthesize(spectrum, noise, stream=stream)
+    _, noisy = _measure(cfg, ds, cavity, noise, stream, out_dir, manifest, tag, points=points)
     fit = fit_lorentzian(noisy, fixed={"fwhm": effective_linewidth(cfg, ds)})
-    csv_path = out_dir / f"{tag}.csv"
-    write_noisy_csv(noisy, csv_path)
-    fit_path = out_dir / f"{tag}_fit.json"
-    write_fit_records(fit.to_record(), fit_path)
-    artifacts += [csv_path.name, fit_path.name]
-    return fit.area / gamma_meas, fit.area_err / gamma_meas
+    _write_record(manifest, out_dir, f"{tag}_fit.json", fit.to_record())
+    return fit
 
 
 def run_scenario(
@@ -159,7 +171,7 @@ def run_scenario(
         seed=noise.seed,
         config_digest=config_digest,
     )
-    runner = _RUNNERS[scenario.name]
+    _, runner = SCENARIOS[scenario.name]
     start = time.perf_counter()
     try:
         runner(cfg, ds, scenario, noise, out_dir, manifest)
@@ -171,8 +183,7 @@ def run_scenario(
         manifest.write(out_dir)
         raise
     manifest.timings_s["total"] = time.perf_counter() - start
-    write_fit_records(FIT_RECORD_UNITS, out_dir / "fit_units.json")
-    manifest.artifacts.append("fit_units.json")
+    _write_record(manifest, out_dir, "fit_units.json", FIT_RECORD_UNITS)
     manifest.write(out_dir)
     return manifest
 
@@ -203,13 +214,12 @@ def _run_backaction_sweep(cfg, ds, scenario, noise, out_dir, manifest):
         ds_nonqnd = DriveSet(
             (cooling,) + drive_pair(1, gamma_meas, gamma_meas, detuning=delta)
         )
-        model = build_linear_model(cfg, ds_nonqnd)
         width = effective_linewidth(cfg, ds_nonqnd)
         span = delta + 10.0 * width
-        spectrum = output_spectrum(model, 1, np.linspace(-span, span, points))
-        noisy = synthesize(spectrum, noise, stream=3 * k)
-        write_noisy_csv(noisy, out_dir / f"{tag}_nonqnd.csv")
-        manifest.artifacts.append(f"{tag}_nonqnd.csv")
+        _, noisy = _measure(
+            cfg, ds_nonqnd, 1, noise, 3 * k, out_dir, manifest, f"{tag}_nonqnd",
+            points=points, span=span,
+        )
         window = min(0.85 * delta, span - delta)
         anti = fit_lorentzian(
             noisy.windowed(np.abs(noisy.freq + delta) < window),
@@ -232,34 +242,30 @@ def _run_backaction_sweep(cfg, ds, scenario, noise, out_dir, manifest):
         w_anti, w_stokes = err_anti**-2, err_stokes**-2
         n_nonqnd = (w_anti * n_anti + w_stokes * n_stokes) / (w_anti + w_stokes)
         n_nonqnd_err = (w_anti + w_stokes) ** -0.5
-        write_fit_records(
+        _write_record(
+            manifest,
+            out_dir,
+            f"{tag}_nonqnd_fit.json",
             {
                 "anti_stokes": anti.to_record(),
                 "stokes": stokes.to_record(),
                 "calibration_factor": calibration,
             },
-            out_dir / f"{tag}_nonqnd_fit.json",
         )
-        manifest.artifacts.append(f"{tag}_nonqnd_fit.json")
 
         # on-sideband (single-quadrature) case: X1 from cavity 1, total
         # occupancy from the cooling cavity's sideband
         ds_qnd = DriveSet((cooling,) + drive_pair(1, gamma_meas, gamma_meas))
-        v1_qnd, v1_err = _fit_variance(
-            cfg, ds_qnd, gamma_meas, noise, 3 * k + 1, points, out_dir,
-            f"{tag}_qnd_cav1", manifest.artifacts,
+        fit1 = _measure_area(cfg, ds_qnd, 1, noise, 3 * k + 1, out_dir, manifest, f"{tag}_qnd_cav1", points)
+        fit2 = _measure_area(cfg, ds_qnd, 2, noise, 3 * k + 2, out_dir, manifest, f"{tag}_qnd_cav2", points)
+        rows.append(
+            [
+                ratio,
+                fit2.area / cooling.rate, fit2.area_err / cooling.rate,
+                n_nonqnd, n_nonqnd_err,
+                fit1.area / gamma_meas, fit1.area_err / gamma_meas,
+            ]
         )
-        model_q = build_linear_model(cfg, ds_qnd)
-        spec2 = output_spectrum(model_q, 2, spectrum_grid(cfg, ds_qnd, points=points))
-        noisy2 = synthesize(spec2, noise, stream=3 * k + 2)
-        fit2 = fit_lorentzian(noisy2, fixed={"fwhm": effective_linewidth(cfg, ds_qnd)})
-        write_noisy_csv(noisy2, out_dir / f"{tag}_qnd_cav2.csv")
-        write_fit_records(fit2.to_record(), out_dir / f"{tag}_qnd_cav2_fit.json")
-        manifest.artifacts += [f"{tag}_qnd_cav2.csv", f"{tag}_qnd_cav2_fit.json"]
-        n_qnd = fit2.area / cooling.rate
-        n_qnd_err = fit2.area_err / cooling.rate
-
-        rows.append([ratio, n_qnd, n_qnd_err, n_nonqnd, n_nonqnd_err, v1_qnd, v1_err])
         per_point.append(
             {
                 "gamma_ratio": ratio,
@@ -270,14 +276,14 @@ def _run_backaction_sweep(cfg, ds, scenario, noise, out_dir, manifest):
         )
         manifest.timings_s[tag] = time.perf_counter() - t0
 
-    _write_table(
-        out_dir / "backaction.csv",
-        ["gamma_ratio", "n_tot_qnd", "n_tot_qnd_err", "n_tot_nonqnd", "n_tot_nonqnd_err", "v1_qnd", "v1_qnd_err"],
-        rows,
-    )
-    manifest.artifacts.append("backaction.csv")
-
     data = np.array(rows)
+    _write_columns(
+        manifest,
+        out_dir,
+        "backaction.csv",
+        ["gamma_ratio", "n_tot_qnd", "n_tot_qnd_err", "n_tot_nonqnd", "n_tot_nonqnd_err", "v1_qnd", "v1_qnd_err"],
+        data.T,
+    )
     line = backaction_line_fit(data[:, 0], data[:, 3], data[:, 4])
     top = int(np.argmax(data[:, 0]))
     evasion = backaction_evasion_report(
@@ -297,8 +303,7 @@ def _run_backaction_sweep(cfg, ds, scenario, noise, out_dir, manifest):
         "evasion": evasion.to_record(),
         "asymmetry": per_point,
     }
-    write_fit_records(summary, out_dir / "summary.json")
-    manifest.artifacts.append("summary.json")
+    _write_record(manifest, out_dir, "summary.json", summary)
 
 
 def _run_squeeze_sweep(cfg, ds, scenario, noise, out_dir, manifest):
@@ -327,12 +332,11 @@ def _run_squeeze_sweep(cfg, ds, scenario, noise, out_dir, manifest):
         values = {}
         for sub, angle in enumerate((0.0, math.pi / 2.0)):
             ds_phi = DriveSet(control + drive_pair(1, gamma_meas, gamma_meas, angle=angle))
-            v, err = _fit_variance(
-                cfg, ds_phi, gamma_meas, noise, 2 * k + sub, points, out_dir,
-                f"{tag}_angle{sub}", manifest.artifacts,
+            fit = _measure_area(
+                cfg, ds_phi, 1, noise, 2 * k + sub, out_dir, manifest, f"{tag}_angle{sub}", points
             )
             theory = quadrature_variances(cfg.mech, ds_phi)
-            values[sub] = (v, err, variance_of_phase(theory, angle))
+            values[sub] = (fit.area / gamma_meas, fit.area_err / gamma_meas, variance_of_phase(theory, angle))
         rows.append(
             [
                 ratio,
@@ -342,22 +346,22 @@ def _run_squeeze_sweep(cfg, ds, scenario, noise, out_dir, manifest):
             ]
         )
         manifest.timings_s[tag] = time.perf_counter() - t0
-    _write_table(
-        out_dir / "squeeze.csv",
-        ["squeeze_ratio", "v1", "v1_err", "v2", "v2_err", "v1_theory", "v2_theory"],
-        rows,
-    )
-    manifest.artifacts.append("squeeze.csv")
     data = np.array(rows)
+    _write_columns(
+        manifest,
+        out_dir,
+        "squeeze.csv",
+        ["squeeze_ratio", "v1", "v1_err", "v2", "v2_err", "v1_theory", "v2_theory"],
+        data.T,
+    )
     below = (1.0 - data[:, 1]) / data[:, 2]
     summary = {
         "min_v1_theory": float(np.min(data[:, 5])),
         "subvacuum_significance": {
-            _fmt(r): float(s) for r, s in zip(data[:, 0], below)
+            f"{r:.17g}": float(s) for r, s in zip(data[:, 0], below)
         },
     }
-    write_fit_records(summary, out_dir / "summary.json")
-    manifest.artifacts.append("summary.json")
+    _write_record(manifest, out_dir, "summary.json", summary)
 
 
 def _run_tomography(cfg, ds, scenario, noise, out_dir, manifest):
@@ -375,34 +379,32 @@ def _run_tomography(cfg, ds, scenario, noise, out_dir, manifest):
     rows = []
     for k, phi in enumerate(phases):
         t0 = time.perf_counter()
-        manifest.failure_point = f"point_{k:02d} (phi {phi:g})"
+        tag = f"point_{k:02d}"
+        manifest.failure_point = f"{tag} (phi {phi:g})"
         ds_phi = DriveSet(ds.drives + drive_pair(1, gamma_meas, gamma_meas, angle=phi))
-        v, err = _fit_variance(
-            cfg, ds_phi, gamma_meas, noise, k, points, out_dir,
-            f"point_{k:02d}", manifest.artifacts,
-        )
+        fit = _measure_area(cfg, ds_phi, 1, noise, k, out_dir, manifest, tag, points)
         theory = variance_of_phase(quadrature_variances(cfg.mech, ds_phi), phi)
-        rows.append([phi, v, err, theory])
-        manifest.timings_s[f"point_{k:02d}"] = time.perf_counter() - t0
-    _write_table(
-        out_dir / "tomogram.csv", ["phi_rad", "v_measured", "v_err", "v_theory"], rows
-    )
-    manifest.artifacts.append("tomogram.csv")
+        rows.append([phi, fit.area / gamma_meas, fit.area_err / gamma_meas, theory])
+        manifest.timings_s[tag] = time.perf_counter() - t0
     data = np.array(rows)
+    _write_columns(
+        manifest, out_dir, "tomogram.csv", ["phi_rad", "v_measured", "v_err", "v_theory"], data.T
+    )
     fit = tomography_sweep(data[:, 0], data[:, 1], data[:, 2])
     metrics = squeezing_metrics(fit)
     occupancy = (fit.v1 + fit.v2 - 2.0) / 4.0
     occupancy_err = math.sqrt(fit.cov[0, 0] + fit.cov[1, 1] + 2.0 * fit.cov[0, 1]) / 4.0
-    write_fit_records(
+    _write_record(
+        manifest,
+        out_dir,
+        "summary.json",
         {
             "tomogram": fit.to_record(),
             "metrics": metrics.to_record(),
             "occupancy": occupancy,
             "occupancy_err": occupancy_err,
         },
-        out_dir / "summary.json",
     )
-    manifest.artifacts.append("summary.json")
 
 
 def _run_driven_response(cfg, ds, scenario, noise, out_dir, manifest):
@@ -414,48 +416,43 @@ def _run_driven_response(cfg, ds, scenario, noise, out_dir, manifest):
         span = 6.0 * abs(effective_linewidth(cfg, ds))
     grid = np.linspace(-span, span, points)
     s11 = driven_response(cfg, ds, cavity, grid)
-    _write_table(
-        out_dir / "response.csv",
+    _write_columns(
+        manifest,
+        out_dir,
+        "response.csv",
         ["offset_hz", "re_s11", "im_s11"],
-        [[f / TWO_PI, v.real, v.imag] for f, v in zip(grid, s11)],
+        (grid / TWO_PI, s11.real, s11.imag),
     )
-    manifest.artifacts.append("response.csv")
     fwhm = transparency_window_fwhm(cfg, ds, cavity)
-    write_fit_records(
+    _write_record(
+        manifest,
+        out_dir,
+        "summary.json",
         {
             "window_fwhm_hz": fwhm / TWO_PI,
             "damping_sum_hz": effective_linewidth(cfg, ds) / TWO_PI,
         },
-        out_dir / "summary.json",
     )
-    manifest.artifacts.append("summary.json")
 
 
 def _run_single_spectrum(cfg, ds, scenario, noise, out_dir, manifest):
     """One ideal spectrum of the configured drive set, plus a measurement."""
-    cavity = scenario.params["cavity"]
-    points = scenario.params["points"]
-    span = scenario.params.get("span")
-    grid = spectrum_grid(cfg, ds, points=points, span=span)
-    model = build_linear_model(cfg, ds)
-    spectrum = output_spectrum(model, cavity, grid)
-    write_spectrum_csv(spectrum, out_dir / "spectrum.csv")
-    noisy = synthesize(spectrum, noise, stream=0)
-    write_noisy_csv(noisy, out_dir / "noisy.csv")
-    manifest.artifacts += ["spectrum.csv", "noisy.csv"]
-    fit = fit_lorentzian(noisy)
-    write_fit_records(fit.to_record(), out_dir / "fit.json")
-    manifest.artifacts.append("fit.json")
-    write_fit_records(
-        {"integrated_flux": spectrum.integrated_flux()}, out_dir / "summary.json"
+    spectrum, noisy = _measure(
+        cfg, ds, scenario.params["cavity"], noise, 0, out_dir, manifest, "noisy",
+        points=scenario.params["points"], span=scenario.params.get("span"),
     )
-    manifest.artifacts.append("summary.json")
+    write_spectrum_csv(spectrum, out_dir / "spectrum.csv")
+    manifest.artifacts.append("spectrum.csv")
+    _write_record(manifest, out_dir, "fit.json", fit_lorentzian(noisy).to_record())
+    _write_record(manifest, out_dir, "summary.json", {"integrated_flux": spectrum.integrated_flux()})
 
 
-_RUNNERS = {
-    "backaction_sweep": _run_backaction_sweep,
-    "squeeze_sweep": _run_squeeze_sweep,
-    "tomography": _run_tomography,
-    "driven_response": _run_driven_response,
-    "single_spectrum": _run_single_spectrum,
+# Every scenario by name: the parser of its ``scenario.params`` section and
+# its runner. Adding a scenario is one entry here plus those two functions.
+SCENARIOS = {
+    "backaction_sweep": (parse_backaction_params, _run_backaction_sweep),
+    "squeeze_sweep": (parse_squeeze_params, _run_squeeze_sweep),
+    "tomography": (parse_tomography_params, _run_tomography),
+    "driven_response": (parse_probe_params, _run_driven_response),
+    "single_spectrum": (parse_probe_params, _run_single_spectrum),
 }

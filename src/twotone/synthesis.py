@@ -17,6 +17,9 @@ from numpy.typing import NDArray
 
 from .dynamics import Spectrum
 from .errors import DomainError
+from .tables import write_csv
+
+_NOISY_COLUMNS = ("offset_hz", "flux", "flux_measured", "std_err")
 
 
 @dataclass(frozen=True)
@@ -102,21 +105,14 @@ def synthesize(s: Spectrum, nm: NoiseModel, *, stream: int = 0) -> NoisySpectrum
 
 def write_noisy_csv(ns: NoisySpectrum, path) -> None:
     """CSV columns (offset_hz, flux, flux_measured, std_err) with metadata."""
-    lines = []
-    for key, value in ns.meta.items():
-        if key == "warnings":
-            for w in value:
-                lines.append(f"# warning: {w}")
-        else:
-            lines.append(f"# {key}: {value}")
-    lines.append(f"# noise_floor: {ns.noise.floor:.17g}")
-    lines.append(f"# noise_averages: {ns.noise.averages}")
-    lines.append(f"# noise_seed: {ns.noise.seed}")
-    lines.append("offset_hz,flux,flux_measured,std_err")
+    meta = [
+        *ns.meta.items(),
+        ("noise_floor", f"{ns.noise.floor:.17g}"),
+        ("noise_averages", ns.noise.averages),
+        ("noise_seed", ns.noise.seed),
+    ]
     columns = (ns.freq / (2.0 * np.pi), ns.flux_true, ns.flux_measured, ns.std_err)
-    lines += map("%.17g,%.17g,%.17g,%.17g".__mod__, zip(*(c.tolist() for c in columns)))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, _NOISY_COLUMNS, columns, meta)
 
 
 def read_noisy_csv(path) -> NoisySpectrum:
@@ -144,7 +140,7 @@ def read_noisy_csv(path) -> NoisySpectrum:
                 continue
             if not header_seen:
                 header_seen = True
-                if line != "offset_hz,flux,flux_measured,std_err":
+                if line != ",".join(_NOISY_COLUMNS):
                     raise DomainError(f"unexpected spectrum CSV header: {line!r}")
                 continue
             rows.append([float(x) for x in line.split(",")])

@@ -6,6 +6,7 @@ import pytest
 from twotone.cli import main
 from twotone.config import bundled_config_path, load_config, parse_config
 from twotone.errors import ConfigError
+from twotone.scenarios import run_scenario
 from twotone.sysmodel import validate_system
 
 TWO_PI = 2.0 * math.pi
@@ -240,6 +241,16 @@ class TestExitCodes:
         assert "numerical failure: fit needs more than 3 samples" in err
         assert "Traceback" not in err
 
+    def test_negative_tomogram_exits_four(self, tmp_path, capsys):
+        # a schema-valid grid whose noisy variances fit to a negative moment
+        assert main(self.bundled_with(tmp_path, "tomography.json", points=4)) == 4
+        err = capsys.readouterr().err
+        assert "numerical failure: fitted variance model is negative" in err
+        assert "Traceback" not in err
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["failure"].startswith("FitError")
+
     def test_zero_area_sideband_exits_four(self, tmp_path, capsys):
         assert main(self.bundled_with(tmp_path, "backaction_sweep.json", ratios=[1e-6, 0.1])) == 4
         err = capsys.readouterr().err
@@ -248,6 +259,100 @@ class TestExitCodes:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert manifest["failure"].startswith("FitError")
+
+
+def bundled_document(name, **params):
+    document = json.loads(bundled_config_path(name).read_text())
+    document["scenario"]["params"].update(params)
+    return document
+
+
+class TestScenarioSchema:
+    """Each scenario's params checks, with the path of the offending field."""
+
+    def test_unknown_name_lists_every_scenario(self):
+        document = minimal_document()
+        document["scenario"]["name"] = "frequency_conversion"
+        with pytest.raises(ConfigError) as info:
+            parse_config(document)
+        assert str(info.value) == (
+            "scenario.name must be one of ('backaction_sweep', 'squeeze_sweep', "
+            "'tomography', 'driven_response', 'single_spectrum'), got 'frequency_conversion'"
+        )
+
+    @pytest.mark.parametrize(
+        "name",
+        ["backaction_sweep.json", "squeeze_sweep.json", "tomography.json", "driven_response.json", "paper_device.json"],
+    )
+    def test_unknown_param_rejected(self, name):
+        with pytest.raises(ConfigError) as info:
+            parse_config(bundled_document(name, gain_db=3.0))
+        assert str(info.value) == "unknown field scenario.params.gain_db"
+
+    def test_too_few_phases_rejected(self):
+        with pytest.raises(ConfigError) as info:
+            parse_config(bundled_document("tomography.json", n_phases=4))
+        assert str(info.value) == "scenario.params.n_phases must be at least 5"
+
+    @pytest.mark.parametrize("name", ["paper_device.json", "driven_response.json"])
+    def test_third_cavity_rejected(self, name):
+        with pytest.raises(ConfigError) as info:
+            parse_config(bundled_document(name, cavity=3))
+        assert str(info.value) == "scenario.params.cavity must be 1 or 2"
+
+
+def point_files(n, *suffixes):
+    return [f"point_{k:02d}{suffix}" for k in range(n) for suffix in suffixes]
+
+
+class TestScenarioArtifacts:
+    """The artifact names of a small run of each scenario."""
+
+    @pytest.mark.parametrize(
+        "name, params, expected",
+        [
+            (
+                "backaction_sweep.json",
+                {"ratios": [0.5, 1.0]},
+                ["backaction.csv", "fit_units.json"]
+                + point_files(
+                    2,
+                    "_nonqnd.csv", "_nonqnd_fit.json",
+                    "_qnd_cav1.csv", "_qnd_cav1_fit.json",
+                    "_qnd_cav2.csv", "_qnd_cav2_fit.json",
+                )
+                + ["summary.json"],
+            ),
+            (
+                "squeeze_sweep.json",
+                {"ratios": [0.05], "points": 501},
+                ["fit_units.json"]
+                + point_files(1, "_angle0.csv", "_angle0_fit.json", "_angle1.csv", "_angle1_fit.json")
+                + ["squeeze.csv", "summary.json"],
+            ),
+            (
+                "tomography.json",
+                {"n_phases": 5, "points": 501},
+                ["fit_units.json"] + point_files(5, ".csv", "_fit.json") + ["summary.json", "tomogram.csv"],
+            ),
+            (
+                "driven_response.json",
+                {"points": 201},
+                ["fit_units.json", "response.csv", "summary.json"],
+            ),
+            (
+                "paper_device.json",
+                {"points": 501},
+                ["fit.json", "fit_units.json", "noisy.csv", "spectrum.csv", "summary.json"],
+            ),
+        ],
+    )
+    def test_artifact_names(self, tmp_path, name, params, expected):
+        cfg, ds, scenario = parse_config(bundled_document(name, **params))
+        manifest = run_scenario(cfg, ds, scenario, tmp_path)
+        assert manifest.status == "complete"
+        assert sorted(manifest.artifacts) == expected
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected + ["manifest.json"])
 
 
 class TestScenarioRequirements:

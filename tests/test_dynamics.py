@@ -17,10 +17,44 @@ from twotone.dynamics import (
     transparency_window_fwhm,
     write_spectrum_csv,
 )
+from twotone.config import bundled_config_path, load_config
+from twotone.dynamics import _solve_frame_shifts
 from twotone.errors import DomainError, InstabilityError
-from twotone.sysmodel import Cavity, Drive, DriveSet, SystemConfig, drive_pair
+from twotone.sysmodel import LOWER, UPPER, Cavity, Drive, DriveSet, SystemConfig, drive_pair
 
 TWO_PI = 2.0 * math.pi
+
+
+def hand_coded_drift(cfg, ds):
+    """Reference: the real quadrature drift written out block by block."""
+    s1, s2, s_b = _solve_frame_shifts(ds)
+    a = np.zeros((6, 6))
+    halves = (cfg.cavity(1).kappa / 2.0, cfg.cavity(2).kappa / 2.0, cfg.mech.gamma / 2.0)
+    for mode, (shift, half) in enumerate(zip((s1, s2, s_b), halves)):
+        delta = -shift
+        i = 2 * mode
+        a[i : i + 2, i : i + 2] = np.array([[-half, delta], [-delta, -half]])
+    for j in (1, 2):
+        cav = cfg.cavity(j)
+        lo, up = ds.get(j, LOWER), ds.get(j, UPPER)
+        g_lo = np.sqrt(ds.rate(j, LOWER) * cav.kappa) / 2.0 * np.exp(1j * (lo.phase if lo else 0.0))
+        g_up = np.sqrt(ds.rate(j, UPPER) * cav.kappa) / 2.0 * np.exp(1j * (up.phase if up else 0.0))
+        if g_lo == 0 and g_up == 0:
+            continue
+        i = 2 * (j - 1)
+        a[i : i + 2, 4:6] = np.array(
+            [
+                [g_lo.imag + g_up.imag, g_lo.real - g_up.real],
+                [-(g_lo.real + g_up.real), g_lo.imag - g_up.imag],
+            ]
+        )
+        a[4:6, i : i + 2] = np.array(
+            [
+                [-g_lo.imag + g_up.imag, g_lo.real - g_up.real],
+                [-(g_lo.real + g_up.real), -g_lo.imag - g_up.imag],
+            ]
+        )
+    return a
 
 
 def lorentzian_span_fraction(half_widths: float) -> float:
@@ -70,6 +104,22 @@ class TestBuildLinearModel:
             rebuilt = basis_change @ model.complex_drift @ np.linalg.inv(basis_change)
             assert np.max(np.abs(rebuilt.imag)) < 1e-9
             assert np.allclose(rebuilt.real, model.drift, atol=1e-9)
+
+    @pytest.mark.parametrize("drives", ["paper_device", "detuned_pair", "phased_pairs", "detuned_asymmetric"])
+    def test_drift_equals_hand_coded_blocks(self, cfg, mech, drives):
+        g = mech.gamma
+        if drives == "paper_device":
+            cfg, ds, _ = load_config(bundled_config_path("paper_device.json"))
+        elif drives == "detuned_pair":
+            ds = DriveSet((Drive(2, "lower", 529.0 * g),) + drive_pair(1, 300.0 * g, 300.0 * g, detuning=TWO_PI * 5e4))
+        elif drives == "phased_pairs":
+            ds = DriveSet(drive_pair(2, 1600.0 * g, 100.0 * g, angle=0.3) + drive_pair(1, 200.0 * g, 200.0 * g, angle=1.1))
+        else:
+            ds = DriveSet(
+                drive_pair(2, 1600.0 * g, 400.0 * g, detuning=TWO_PI * 3e4)
+                + drive_pair(1, 200.0 * g, 100.0 * g, detuning=TWO_PI * 3e4, angle=0.7)
+            )
+        assert np.array_equal(build_linear_model(cfg, ds).drift, hand_coded_drift(cfg, ds))
 
     def test_incompatible_detunings_rejected(self, cfg, mech):
         ds = DriveSet(
