@@ -53,6 +53,12 @@ def minimal_document():
     }
 
 
+def bundled_document(name, **params):
+    document = json.loads(bundled_config_path(name).read_text())
+    document["scenario"]["params"].update(params)
+    return document
+
+
 class TestConfigParsing:
     def test_bundled_device_loads_and_validates(self):
         cfg, ds, scenario = load_config(bundled_config_path("paper_device.json"))
@@ -189,10 +195,8 @@ class TestExitCodes:
 
     @staticmethod
     def bundled_with(tmp_path, name, **params):
-        document = json.loads(bundled_config_path(name).read_text())
-        document["scenario"]["params"].update(params)
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(document))
+        path.write_text(json.dumps(bundled_document(name, **params)))
         return ["run", "--config", str(path), "--out", str(tmp_path / "out")]
 
     def test_negative_ratio_exits_two(self, tmp_path, capsys):
@@ -259,12 +263,6 @@ class TestExitCodes:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert manifest["failure"].startswith("FitError")
-
-
-def bundled_document(name, **params):
-    document = json.loads(bundled_config_path(name).read_text())
-    document["scenario"]["params"].update(params)
-    return document
 
 
 class TestScenarioSchema:
