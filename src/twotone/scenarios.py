@@ -119,30 +119,49 @@ def _write_columns(manifest: RunManifest, out_dir: Path, name: str, names, colum
     manifest.artifacts.append(name)
 
 
-def _measure(cfg, ds, cavity, noise, stream, out_dir, manifest, tag, *, points, span=None):
-    """One synthesized measurement of a cavity's output, written as ``{tag}.csv``.
+def _measure(cfg, ds, cavity, noise, stream, out_dir, manifest, tag, fit, *, points, span=None):
+    """One synthesized measurement of a cavity's output, fitted and written.
 
-    Returns the ideal spectrum and its noisy measurement.
+    ``fit`` maps the noisy spectrum to the fit result. It runs before the
+    spectrum is written as ``{tag}.csv``, because a fit that follows the
+    write of its own spectrum is measurably slower. Returns the ideal
+    spectrum and the fit result.
     """
     grid = spectrum_grid(cfg, ds, points=points, span=span)
     spectrum = output_spectrum(build_linear_model(cfg, ds), cavity, grid)
     noisy = synthesize(spectrum, noise, stream=stream)
+    result = fit(noisy)
     write_noisy_csv(noisy, out_dir / f"{tag}.csv")
     manifest.artifacts.append(f"{tag}.csv")
-    return spectrum, noisy
+    return spectrum, result
 
 
 def _measure_area(cfg, ds, cavity, noise, stream, out_dir, manifest, tag, points):
-    """Fitted Lorentzian of one measurement, recorded as ``{tag}_fit.json``.
+    """Lorentzian fit of one measurement, recorded as ``{tag}_fit.json``.
 
     The fit linewidth is pinned to the calibrated total damping, as the
     driven-response calibration provides it; this keeps weak-peak areas
     unbiased.
     """
-    _, noisy = _measure(cfg, ds, cavity, noise, stream, out_dir, manifest, tag, points=points)
-    fit = fit_lorentzian(noisy, fixed={"fwhm": effective_linewidth(cfg, ds)})
+    fixed = {"fwhm": effective_linewidth(cfg, ds)}
+    _, fit = _measure(
+        cfg, ds, cavity, noise, stream, out_dir, manifest, tag,
+        lambda noisy: fit_lorentzian(noisy, fixed=fixed), points=points,
+    )
     _write_record(manifest, out_dir, f"{tag}_fit.json", fit.to_record())
     return fit
+
+
+def _fit_sidebands(noisy, delta: float, window: float, width: float):
+    """Anti-Stokes and Stokes fits of the sidebands at -delta and +delta."""
+    return tuple(
+        fit_lorentzian(
+            noisy.windowed(np.abs(noisy.freq - center) < window),
+            init={"center": center},
+            fixed={"fwhm": width},
+        )
+        for center in (-delta, delta)
+    )
 
 
 def run_scenario(
@@ -216,20 +235,10 @@ def _run_backaction_sweep(cfg, ds, scenario, noise, out_dir, manifest):
         )
         width = effective_linewidth(cfg, ds_nonqnd)
         span = delta + 10.0 * width
-        _, noisy = _measure(
-            cfg, ds_nonqnd, 1, noise, 3 * k, out_dir, manifest, f"{tag}_nonqnd",
-            points=points, span=span,
-        )
         window = min(0.85 * delta, span - delta)
-        anti = fit_lorentzian(
-            noisy.windowed(np.abs(noisy.freq + delta) < window),
-            init={"center": -delta},
-            fixed={"fwhm": width},
-        )
-        stokes = fit_lorentzian(
-            noisy.windowed(np.abs(noisy.freq - delta) < window),
-            init={"center": delta},
-            fixed={"fwhm": width},
+        _, (anti, stokes) = _measure(
+            cfg, ds_nonqnd, 1, noise, 3 * k, out_dir, manifest, f"{tag}_nonqnd",
+            lambda noisy: _fit_sidebands(noisy, delta, window, width), points=points, span=span,
         )
         n_anti, n_stokes, calibration = occupancy_from_sidebands(
             anti, stokes, gamma_meas, gamma_meas
@@ -329,22 +338,15 @@ def _run_squeeze_sweep(cfg, ds, scenario, noise, out_dir, manifest):
         tag = f"point_{k:02d}"
         manifest.failure_point = f"{tag} (squeeze_ratio {ratio:g})"
         control = drive_pair(2, cooling.rate, ratio * cooling.rate)
-        values = {}
+        measured, theory = [ratio], []
         for sub, angle in enumerate((0.0, math.pi / 2.0)):
             ds_phi = DriveSet(control + drive_pair(1, gamma_meas, gamma_meas, angle=angle))
             fit = _measure_area(
                 cfg, ds_phi, 1, noise, 2 * k + sub, out_dir, manifest, f"{tag}_angle{sub}", points
             )
-            theory = quadrature_variances(cfg.mech, ds_phi)
-            values[sub] = (fit.area / gamma_meas, fit.area_err / gamma_meas, variance_of_phase(theory, angle))
-        rows.append(
-            [
-                ratio,
-                values[0][0], values[0][1],
-                values[1][0], values[1][1],
-                values[0][2], values[1][2],
-            ]
-        )
+            measured += [fit.area / gamma_meas, fit.area_err / gamma_meas]
+            theory.append(variance_of_phase(quadrature_variances(cfg.mech, ds_phi), angle))
+        rows.append(measured + theory)
         manifest.timings_s[tag] = time.perf_counter() - t0
     data = np.array(rows)
     _write_columns(
@@ -437,13 +439,13 @@ def _run_driven_response(cfg, ds, scenario, noise, out_dir, manifest):
 
 def _run_single_spectrum(cfg, ds, scenario, noise, out_dir, manifest):
     """One ideal spectrum of the configured drive set, plus a measurement."""
-    spectrum, noisy = _measure(
-        cfg, ds, scenario.params["cavity"], noise, 0, out_dir, manifest, "noisy",
+    spectrum, fit = _measure(
+        cfg, ds, scenario.params["cavity"], noise, 0, out_dir, manifest, "noisy", fit_lorentzian,
         points=scenario.params["points"], span=scenario.params.get("span"),
     )
     write_spectrum_csv(spectrum, out_dir / "spectrum.csv")
     manifest.artifacts.append("spectrum.csv")
-    _write_record(manifest, out_dir, "fit.json", fit_lorentzian(noisy).to_record())
+    _write_record(manifest, out_dir, "fit.json", fit.to_record())
     _write_record(manifest, out_dir, "summary.json", {"integrated_flux": spectrum.integrated_flux()})
 
 
