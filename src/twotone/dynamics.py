@@ -35,7 +35,7 @@ from scipy.linalg import solve_continuous_lyapunov
 
 from .analytic import QuadratureMoments
 from .errors import DomainError, InstabilityError, NumericalError
-from .sysmodel import LOWER, UPPER, DriveSet, SystemConfig
+from .sysmodel import LOWER, RESOLVED_SIDEBAND_RATIO, UPPER, DriveSet, SystemConfig
 from .tables import write_csv
 
 _LYAPUNOV_RESIDUAL_RTOL = 1e-10
@@ -221,7 +221,7 @@ def build_linear_model(cfg: SystemConfig, ds: DriveSet) -> LinearModel:
         detunings admit no time-independent rotating frame.
     """
     for i in (1, 2):
-        if cfg.mech.omega / cfg.cavity(i).kappa <= 5.0:
+        if cfg.mech.omega / cfg.cavity(i).kappa <= RESOLVED_SIDEBAND_RATIO:
             raise DomainError(
                 f"cavity {i} violates the resolved-sideband condition; the "
                 "rotating-wave model does not apply"
@@ -490,7 +490,18 @@ def transparency_window_fwhm(cfg: SystemConfig, ds: DriveSet, probe_cavity: int)
         diff = model - s11
         return np.concatenate([diff.real, diff.imag])
 
-    sol = least_squares(residuals, p0, xtol=1e-14, ftol=1e-14, gtol=1e-14)
+    ones = np.ones_like(grid)
+
+    def jacobian(p):
+        d = p[4] + 1j * p[5]
+        inv = 1.0 / (-1j * (grid - p[6]) + p[7] / 2.0)
+        pole = d * inv * inv
+        cols = np.stack(
+            [ones, 1j * ones, grid, 1j * grid, inv, 1j * inv, -1j * pole, -0.5 * pole], axis=1
+        )
+        return np.concatenate([cols.real, cols.imag])
+
+    sol = least_squares(residuals, p0, jac=jacobian, xtol=1e-14, ftol=1e-14, gtol=1e-14)
     if not sol.success or sol.x[7] <= 0:
         raise NumericalError("transparency window fit did not converge")
     return float(sol.x[7])

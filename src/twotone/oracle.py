@@ -10,7 +10,8 @@ pass from their combined moments (A, B, C) rather than operator by operator.
 The steady state is found by a direct linear solve for the null vector of
 the Liouvillian on a finite Fock space, with explicit truncation checks, and
 provides variances against which the closed-form and Lyapunov routes are
-validated.
+validated. The steady state is Gaussian, so its Fock populations, and with
+them the truncation to start from, follow in closed form from the moments.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import scipy.sparse as sp
 from numpy.typing import NDArray
 from scipy.sparse.linalg import norm, splu
 
-from .errors import DomainError, NumericalError, TruncationError
+from .errors import DomainError, InstabilityError, NumericalError, TruncationError
 from .sysmodel import LOWER, UPPER, DriveSet, MechanicalMode
 
 TAIL_THRESHOLD = 1e-6
@@ -265,37 +266,87 @@ def number_occupancy(s: TruncatedState) -> float:
     return float(np.arange(s.n_trunc) @ s.populations)
 
 
-def required_truncation(v1: float, v2: float, *, tail: float = TAIL_THRESHOLD) -> int:
-    """Estimate of the Fock truncation needed for a Gaussian steady state.
+def gaussian_covariance(d: EffectiveDissipators) -> NDArray[np.float64]:
+    """Quadrature covariance of the Gaussian steady state, from the moments.
 
-    The number distribution of a zero-mean Gaussian state falls off
-    geometrically with per-pair ratio (v_max - 1) / (v_max + 1) along its
-    widest quadrature; the estimate inverts that tail with a safety margin.
+    With damping Gamma = A - B the master equation gives
+    <b+b> = B / Gamma and <b^2> = -conj(C) / Gamma. The result is the 2x2
+    symmetrized covariance of X = b + b+ and P = -i (b - b+), with vacuum
+    variance 1, so its eigenvalues are 1 + 2 <b+b> +- 2 |C| / Gamma.
+
+    Raises
+    ------
+    InstabilityError
+        If Gamma <= 0, so that no steady state exists.
     """
-    v_max = max(v1, v2, 1.0 + 1e-12)
-    ratio = (v_max - 1.0) / (v_max + 1.0)
-    if ratio <= 0.0:
-        return 8
-    levels = 2.0 * np.log(tail / 30.0) / np.log(ratio)
-    return int(max(8, np.ceil(levels + 10)))
+    A, B, C = d.moments()
+    damping = A - B
+    if damping <= 0.0:
+        raise InstabilityError(
+            f"damping A - B = {damping:.4g} is not positive; no steady state"
+        )
+    var = 2.0 * B / damping + 1.0
+    m = -np.conj(C) / damping
+    return np.array(
+        [[var + 2.0 * m.real, 2.0 * m.imag], [2.0 * m.imag, var - 2.0 * m.real]]
+    )
 
 
-def converged_steady_state(
-    d: EffectiveDissipators,
-    *,
-    n_start: int = 8,
-    n_max: int = 120,
-) -> TruncatedState:
-    """Steady state at an automatically increased truncation.
+def gaussian_populations(v: NDArray[np.float64], size: int) -> NDArray[np.float64]:
+    """Fock populations P(0) .. P(size - 1) of the zero-mean Gaussian state.
 
-    Grows the Fock space by half-steps until the top-level population falls
-    below ``TAIL_THRESHOLD``.
+    Uses the generating function Tr(rho z^n) = 2 / sqrt(det((1 - z) V
+    + (1 + z) I)) (Weedbrook et al., RMP 84, 621 (2012)). Each eigenvalue
+    lam of V contributes the factor sqrt(2 / (lam + 1)) (1 - r z)^(-1/2),
+    r = (lam - 1) / (lam + 1), whose series has coefficients
+    sqrt(2 / (lam + 1)) C(2k, k) 4^-k r^k; P(n) is the convolution of the two.
     """
-    n = n_start
-    while True:
+    k = np.arange(1, size)
+    central = np.cumprod(np.append(1.0, (2.0 * k - 1.0) / (2.0 * k)))  # C(2k, k) 4^-k
+    series = [
+        np.sqrt(2.0 / (lam + 1.0)) * central * ((lam - 1.0) / (lam + 1.0)) ** np.arange(size)
+        for lam in np.linalg.eigvalsh(v)
+    ]
+    return np.convolve(*series)[:size]
+
+
+def _truncation_ladder(n_max: int) -> list[int]:
+    """Truncations to try in turn: 8, then 1.5x steps capped at ``n_max``."""
+    rungs = [8]
+    while rungs[-1] < n_max:
+        rungs.append(min(n_max, int(np.ceil(1.5 * rungs[-1]))))
+    return rungs
+
+
+def _predicted_rung(d: EffectiveDissipators, rungs: list[int]) -> int:
+    """Index of the first rung N whose Gaussian tail P(N - 1) is below threshold.
+
+    An anti-damped bath has no Gaussian steady state; its search starts at
+    the first rung.
+    """
+    try:
+        v = gaussian_covariance(d)
+    except InstabilityError:
+        return 0
+    p = gaussian_populations(v, rungs[-1])
+    return next(
+        (i for i, n in enumerate(rungs) if p[n - 1] < TAIL_THRESHOLD), len(rungs) - 1
+    )
+
+
+def converged_steady_state(d: EffectiveDissipators, *, n_max: int = 120) -> TruncatedState:
+    """Steady state at the first truncation whose tail check passes.
+
+    Truncations follow the ladder 8, then 1.5x steps up to ``n_max``. The
+    search starts at the rung the Gaussian steady state predicts from its
+    populations (``gaussian_populations``); the tail check of
+    ``steady_state`` still decides, and a start that proves too low moves up
+    one rung at a time.
+    """
+    rungs = _truncation_ladder(n_max)
+    for n in rungs[_predicted_rung(d, rungs) :]:
         try:
             return steady_state(build_liouvillian(d, n))
         except TruncationError:
-            if n >= n_max:
+            if n == rungs[-1]:
                 raise
-            n = min(n_max, int(np.ceil(1.5 * n)))

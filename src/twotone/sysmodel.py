@@ -28,6 +28,10 @@ SIDEBANDS = (LOWER, UPPER)
 QND_RATE_RTOL = 1e-9
 QND_DETUNING_RTOL = 1e-9
 
+# omega_m / kappa above which the rotating-wave linear model applies: the
+# counter-rotating sideband it drops is then far outside the cavity line.
+RESOLVED_SIDEBAND_RATIO = 5.0
+
 
 def _require_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
@@ -129,7 +133,11 @@ class SystemConfig:
     """Static device description: one mechanical mode, two cavities.
 
     Cavity index 1 is the measurement cavity, index 2 the control cavity.
-    Both must be in the resolved-sideband regime (omega_m > kappa).
+    Both must be sideband resolved (omega_m > kappa): below that the
+    sidebands overlap and the device is outside the physical domain. The
+    stricter ``RESOLVED_SIDEBAND_RATIO`` is where the rotating-wave model
+    becomes accurate; a device between the two limits is valid and is
+    reported by ``validate_system`` and refused by the linear model.
     """
 
     mech: MechanicalMode
@@ -351,7 +359,8 @@ def validate_system(cfg: SystemConfig, ds: DriveSet) -> ValidationReport:
     for i in (1, 2):
         cav = cfg.cavity(i)
         ratio = cfg.mech.omega / cav.kappa
-        checks.append(Check(f"resolved_sideband_cavity{i}", PASS if ratio > 5.0 else FAIL, ratio, 5.0))
+        resolved = PASS if ratio > RESOLVED_SIDEBAND_RATIO else FAIL
+        checks.append(Check(f"resolved_sideband_cavity{i}", resolved, ratio, RESOLVED_SIDEBAND_RATIO))
         frac = cav.external_fraction
         checks.append(Check(f"overcoupling_cavity{i}", PASS if frac >= 0.9 else WARN, frac, 0.9))
     for d in ds.drives:

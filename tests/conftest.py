@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from twotone.sysmodel import Cavity, Drive, DriveSet, MechanicalMode, SystemConfig, drive_pair
@@ -42,3 +43,17 @@ def qnd_config(mech, ratio, *, cooling=529.0, angle=0.0, detuning=0.0):
     return DriveSet(
         (Drive(2, "lower", g2),) + drive_pair(1, ratio * g2, ratio * g2, angle=angle, detuning=detuning)
     )
+
+
+def sample_truncation_estimate(v1, v2):
+    """Pessimistic Fock truncation for variances (v1, v2), kept only to pick samples.
+
+    The oracle tests draw random squeezed baths and skip those whose
+    estimate exceeds a budget; this expression fixes which draws they check.
+    """
+    v_max = max(v1, v2, 1.0 + 1e-12)
+    ratio = (v_max - 1.0) / (v_max + 1.0)
+    if ratio <= 0.0:
+        return 8
+    levels = 2.0 * np.log(1e-6 / 30.0) / np.log(ratio)
+    return int(max(8, np.ceil(levels + 10)))

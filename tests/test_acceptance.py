@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import sample_truncation_estimate
 from twotone.analytic import quadrature_variances
 from twotone.config import bundled_config_path, load_config
 from twotone.dynamics import (
@@ -25,7 +26,6 @@ from twotone.oracle import (
     EffectiveDissipators,
     converged_steady_state,
     quad_variance,
-    required_truncation,
 )
 from twotone.scenarios import run_scenario
 from twotone.sysmodel import Drive, DriveSet, drive_pair
@@ -129,8 +129,7 @@ def test_criterion_2_oracle_validation():
         den = 1.0 + g_minus - g_plus
         v1 = (2.0 * n_th + 1.0 + (math.sqrt(g_minus) - math.sqrt(g_plus)) ** 2) / den
         v2 = (2.0 * n_th + 1.0 + (math.sqrt(g_minus) + math.sqrt(g_plus)) ** 2) / den
-        estimate = required_truncation(v1, v2)
-        if estimate > 56:
+        if sample_truncation_estimate(v1, v2) > 56:
             continue  # converged truncation would exceed the N <= 60 budget
         checked += 1
         d = EffectiveDissipators(
@@ -138,7 +137,7 @@ def test_criterion_2_oracle_validation():
             n_thermal=n_th,
             engineered=((math.sqrt(g_minus), math.sqrt(g_plus)),),
         )
-        state = converged_steady_state(d, n_start=estimate, n_max=60)
+        state = converged_steady_state(d, n_max=60)
         largest_n = max(largest_n, state.n_trunc)
         dev = max(
             abs(quad_variance(state, 0.0) / v1 - 1.0),

@@ -5,17 +5,20 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import norm
 
+from conftest import sample_truncation_estimate
+from twotone import oracle
 from twotone.analytic import quadrature_variances
-from twotone.errors import DomainError, NumericalError, TruncationError
+from twotone.errors import DomainError, InstabilityError, NumericalError, TruncationError
 from twotone.oracle import (
     EffectiveDissipators,
     TruncatedState,
     _lowering,
     build_liouvillian,
     converged_steady_state,
+    gaussian_covariance,
+    gaussian_populations,
     number_occupancy,
     quad_variance,
-    required_truncation,
     steady_state,
 )
 from twotone.sysmodel import Drive, DriveSet, drive_pair
@@ -51,6 +54,18 @@ def device_dissipators(mech, g_minus, plus_ratio, meas_ratio=0.0, angle=0.0):
     if meas_ratio:
         drives += drive_pair(1, meas_ratio * rate, meas_ratio * rate, angle=angle)
     return EffectiveDissipators.from_drives(mech, DriveSet(drives))
+
+
+# Drive sets on the device and the truncation ladder rung each converges on,
+# from 8 up to 62
+LADDER_CASES = [
+    (2000.0, 0.0, 0.0, 0.0, 8),
+    (1000.0, 0.05, 0.0, 0.0, 12),
+    (300.0, 0.1, 0.1, 0.5, 18),
+    (200.0, 0.2, 0.3, 1.0, 27),
+    (100.0, 0.3, 0.5, 2.0, 41),
+    (60.0, 0.25, 0.9, 0.3, 62),
+]
 
 
 class TestMomentBuild:
@@ -95,23 +110,69 @@ class TestMomentBuild:
         assert B == pytest.approx(2.0 * 1.5 + 1.0 + 0.25, rel=1e-15)
         assert C == pytest.approx(3.0 * -1.0j + np.exp(0.2j), rel=1e-15)
 
-    @pytest.mark.parametrize(
-        "g_minus, plus_ratio, meas_ratio, angle, n_trunc",
-        [
-            (2000.0, 0.0, 0.0, 0.0, 8),
-            (1000.0, 0.05, 0.0, 0.0, 12),
-            (300.0, 0.1, 0.1, 0.5, 18),
-            (200.0, 0.2, 0.3, 1.0, 27),
-            (100.0, 0.3, 0.5, 2.0, 41),
-            (60.0, 0.25, 0.9, 0.3, 62),
-        ],
-    )
+    @pytest.mark.parametrize("g_minus, plus_ratio, meas_ratio, angle, n_trunc", LADDER_CASES)
     def test_growth_ladder_ends_on_the_same_rung(
         self, mech, g_minus, plus_ratio, meas_ratio, angle, n_trunc
     ):
         # rungs recorded with the Kronecker-sum build
         d = device_dissipators(mech, g_minus, plus_ratio, meas_ratio, angle)
         assert converged_steady_state(d).n_trunc == n_trunc
+
+
+def record_solves(monkeypatch):
+    """Truncation of every ``steady_state`` solve made through the oracle module."""
+    solved = []
+
+    def spy(lv):
+        solved.append(math.isqrt(lv.shape[0]))
+        return steady_state(lv)
+
+    monkeypatch.setattr(oracle, "steady_state", spy)
+    return solved
+
+
+class TestTruncationPrediction:
+    """The converged search starts where the Gaussian state's Fock tail predicts."""
+
+    def test_populations_match_the_truncated_solve(self):
+        thermal = EffectiveDissipators(gamma_m=1.0, n_thermal=1.0)
+        np.testing.assert_allclose(
+            gaussian_populations(gaussian_covariance(thermal), 40),
+            0.5 ** np.arange(1, 41),
+            rtol=1e-13,
+            atol=0.0,
+        )
+        d = EffectiveDissipators(
+            gamma_m=1.0, n_thermal=1.0, engineered=((math.sqrt(100.0), math.sqrt(7.0)),)
+        )
+        state = steady_state(build_liouvillian(d, 40))
+        predicted = gaussian_populations(gaussian_covariance(d), 40)
+        assert np.max(np.abs(predicted - state.populations)) < 1e-12
+
+    @pytest.mark.parametrize("g_minus, plus_ratio, meas_ratio, angle, n_trunc", LADDER_CASES)
+    def test_predicted_rung_is_solved_once(
+        self, mech, monkeypatch, g_minus, plus_ratio, meas_ratio, angle, n_trunc
+    ):
+        solved = record_solves(monkeypatch)
+        d = device_dissipators(mech, g_minus, plus_ratio, meas_ratio, angle)
+        assert converged_steady_state(d).n_trunc == n_trunc
+        assert solved == [n_trunc]
+
+    def test_state_hotter_than_the_budget_raises(self, monkeypatch):
+        solved = record_solves(monkeypatch)
+        with pytest.raises(TruncationError):
+            converged_steady_state(EffectiveDissipators(gamma_m=1.0, n_thermal=40.0), n_max=60)
+        assert solved == [60]
+
+    def test_antidamped_bath_climbs_the_whole_ladder(self, monkeypatch):
+        # A - B = -7: no Gaussian steady state, so every rung is tried
+        d = EffectiveDissipators(gamma_m=1.0, n_thermal=0.0, engineered=((1.0, 3.0),))
+        with pytest.raises(InstabilityError):
+            gaussian_covariance(d)
+        solved = record_solves(monkeypatch)
+        with pytest.raises(TruncationError):
+            converged_steady_state(d, n_max=30)
+        assert solved == [8, 12, 18, 27, 30]
 
 
 class TestLiouvillian:
@@ -191,7 +252,7 @@ class TestSteadyState:
 
     def test_converged_steady_state_grows(self):
         d = EffectiveDissipators(gamma_m=1.0, n_thermal=3.0)
-        state = converged_steady_state(d, n_start=8)
+        state = converged_steady_state(d)
         assert state.tail_population < 1e-6
         assert number_occupancy(state) == pytest.approx(3.0, rel=1e-4)
 
@@ -228,7 +289,7 @@ class TestAgainstClosedForm:
             g_minus = rng.uniform(2.0, 300.0)
             g_plus = rng.uniform(0.0, 0.9) * g_minus
             v1_ref, v2_ref = reference_variances(n_th, 1.0, g_minus, g_plus)
-            if required_truncation(v1_ref, v2_ref) > 56:
+            if sample_truncation_estimate(v1_ref, v2_ref) > 56:
                 continue
             checked += 1
             d = EffectiveDissipators(

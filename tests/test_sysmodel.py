@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from twotone.dynamics import build_linear_model
 from twotone.errors import DomainError
 from twotone.sysmodel import (
     Cavity,
@@ -180,6 +181,23 @@ class TestValidateSystem:
         report = validate_system(cfg, DriveSet())
         assert not report.passed
         assert any(c.name == "resolved_sideband_cavity1" for c in report.failures())
+
+    @pytest.mark.parametrize("ratio, resolved", [(4.9, False), (5.1, True)])
+    def test_linear_model_agrees_on_sideband_resolution(self, mech, ratio, resolved):
+        cfg = SystemConfig(
+            mech=mech,
+            cavities=(
+                Cavity(omega=1e10, kappa=mech.omega / ratio, g0=100.0),
+                Cavity(omega=1e10, kappa=1e6, g0=100.0),
+            ),
+        )
+        failed = {c.name for c in validate_system(cfg, DriveSet()).failures()}
+        assert ("resolved_sideband_cavity1" not in failed) == resolved
+        if resolved:
+            build_linear_model(cfg, DriveSet())
+        else:
+            with pytest.raises(DomainError):
+                build_linear_model(cfg, DriveSet())
 
     def test_strong_drive_fails_weak_coupling(self, cfg):
         kappa = cfg.cavity(2).kappa
