@@ -501,7 +501,9 @@ def transparency_window_fwhm(cfg: SystemConfig, ds: DriveSet, probe_cavity: int)
         )
         return np.concatenate([cols.real, cols.imag])
 
-    sol = least_squares(residuals, p0, jac=jacobian, xtol=1e-14, ftol=1e-14, gtol=1e-14)
+    sol = least_squares(
+        residuals, p0, jac=jacobian, method="lm", xtol=1e-14, ftol=1e-14, gtol=1e-14
+    )
     if not sol.success or sol.x[7] <= 0:
         raise NumericalError("transparency window fit did not converge")
     return float(sol.x[7])

@@ -8,7 +8,8 @@ usual pair of operators sqrt(gamma_m (n_th + 1)) b and sqrt(gamma_m n_th) b+.
 Every operator is linear in b and b+, so the Liouvillian is assembled in one
 pass from their combined moments (A, B, C) rather than operator by operator.
 The steady state is found by a direct linear solve for the null vector of
-the Liouvillian on a finite Fock space, with explicit truncation checks, and
+the Liouvillian on a finite Fock space, restricted to the even parity sector
+that holds it, with explicit truncation checks, and
 provides variances against which the closed-form and Lyapunov routes are
 validated. The steady state is Gaussian, so its Fock populations, and with
 them the truncation to start from, follow in closed form from the moments.
@@ -189,13 +190,29 @@ def build_liouvillian(d: EffectiveDissipators, n_trunc: int) -> sp.csr_matrix:
 def steady_state(lv: sp.spmatrix) -> TruncatedState:
     """Normalized kernel vector of the Liouvillian as a density matrix.
 
-    Solves the trace-constrained linear system obtained by replacing one row
-    of L with the trace functional. Kernel uniqueness is checked by solving
-    a second system with a different replaced row: a degenerate kernel
-    yields inconsistent solutions.
+    Every collapse operator is linear in b and b+, so the generator conserves
+    the parity of p + q for rho[p, q] (Albert & Jiang, PRA 89, 022118
+    (2014)); ``lv`` must not couple the even and odd sectors. The trace
+    functional lives in the even sector, so only that block, about N^2 / 2
+    unknowns, is solved and the odd entries of the state are zero.
+
+    The even block with its rho[0, 0] row replaced by the trace functional
+    is factorized once, and the LU solves two right-hand sides: the unit
+    vector of that row gives the state x1, the unit vector of the
+    rho[N-1, N-1] row gives z1. Kernel uniqueness is checked against x2,
+    the solution with the last row replaced instead: the two systems differ
+    only in those two rows, so x2 = x1 - (l0 . x1) / (l0 . z1) z1 exactly,
+    with l0 the rho[0, 0] row of L (trace preservation makes l0 . z1 = -1).
+    A degenerate kernel yields inconsistent solutions. A kernel vector in
+    the odd sector carries no trace and goes unchecked; on the device's
+    drive sets up to N = 41 the odd block's smallest-to-largest singular
+    value ratio stays above 2e-4.
 
     Raises
     ------
+    DomainError
+        If the size is not a perfect square or ``lv`` couples the two
+        parity sectors.
     NumericalError
         If the kernel is degenerate or the solve fails.
     TruncationError
@@ -207,40 +224,49 @@ def steady_state(lv: sp.spmatrix) -> TruncatedState:
         raise DomainError("Liouvillian size is not a perfect square")
 
     coo = lv.tocoo()
-    diagonal = np.arange(n) * (n + 1)
-
-    def solve_with_replaced_row(row_index: int) -> NDArray[np.complex128]:
-        keep = coo.row != row_index
-        mat = sp.csc_matrix(
+    index = np.arange(size)
+    odd = (index % n + index // n) % 2 == 1
+    if np.any(odd[coo.row] != odd[coo.col]):
+        raise DomainError("Liouvillian couples the even and odd parity sectors")
+    even = np.flatnonzero(~odd)  # starts at rho[0, 0], ends at rho[N-1, N-1]
+    sector = np.cumsum(~odd) - 1  # position of each even index within ``even``
+    first = coo.row == 0
+    keep = ~(odd[coo.row] | first)
+    mat = sp.csc_matrix(
+        (
+            np.concatenate([coo.data[keep], np.ones(n)]),
             (
-                np.concatenate([coo.data[keep], np.ones(n)]),
-                (
-                    np.concatenate([coo.row[keep], np.full(n, row_index)]),
-                    np.concatenate([coo.col[keep], diagonal]),
-                ),
+                np.concatenate([sector[coo.row[keep]], np.zeros(n, dtype=int)]),
+                np.concatenate([sector[coo.col[keep]], sector[np.arange(n) * (n + 1)]]),
             ),
-            shape=(size, size),
-        )
-        rhs = np.zeros(size, dtype=complex)
-        rhs[row_index] = 1.0
-        try:
-            return splu(mat).solve(rhs)
-        except RuntimeError as exc:
-            raise NumericalError(f"steady-state solve failed: {exc}") from exc
+        ),
+        shape=(even.size, even.size),
+    )
+    rhs = np.zeros((even.size, 2), dtype=complex)
+    rhs[0, 0] = rhs[-1, 1] = 1.0
+    try:
+        x1, z1 = splu(mat).solve(rhs).T
+    except RuntimeError as exc:
+        raise NumericalError(f"steady-state solve failed: {exc}") from exc
 
-    x1 = solve_with_replaced_row(0)
-    x2 = solve_with_replaced_row(size - 1)
+    l0, l0_cols = coo.data[first], sector[coo.col[first]]
+    l0_z1 = l0 @ z1[l0_cols]
+    if l0_z1 == 0 or not np.isfinite(l0_z1):
+        raise NumericalError("steady-state solve failed: the last-row constraint is singular")
+    x2 = x1 - (l0 @ x1[l0_cols]) / l0_z1 * z1
     if np.max(np.abs(x1 - x2)) > 1e-8 * max(1.0, np.max(np.abs(x1))):
         raise NumericalError(
             "Liouvillian kernel is degenerate: steady state depends on the "
             "imposed constraint row"
         )
-    residual = np.linalg.norm(lv @ x1)
-    scale = norm(lv) * np.linalg.norm(x1)
+    x = np.zeros(size, dtype=complex)
+    x[even] = x1
+    residual = np.linalg.norm(lv @ x)
+    scale = norm(lv) * np.linalg.norm(x)
     if residual > 1e-9 * max(scale, 1.0):
         raise NumericalError(f"steady-state residual {residual:.3g} too large")
 
-    rho = x1.reshape((n, n), order="F")
+    rho = x.reshape((n, n), order="F")
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
     state = TruncatedState(rho=rho, n_trunc=n)

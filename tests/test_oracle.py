@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import norm
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import norm, splu
 
 from conftest import sample_truncation_estimate
 from twotone import oracle
@@ -11,6 +13,7 @@ from twotone.analytic import quadrature_variances
 from twotone.errors import DomainError, InstabilityError, NumericalError, TruncationError
 from twotone.oracle import (
     EffectiveDissipators,
+    TAIL_THRESHOLD,
     TruncatedState,
     _lowering,
     build_liouvillian,
@@ -44,6 +47,52 @@ def kron_liouvillian(d, n):
         cdc = (c.conj().T @ c).tocsr()
         lv = lv + sp.kron(c.conj(), c) - 0.5 * sp.kron(eye, cdc) - 0.5 * sp.kron(cdc.T, eye)
     return lv.tocsr()
+
+
+def two_factorization_steady_state(lv):
+    """Reference solve: the full constrained system factorized twice.
+
+    Row 0 and then row N^2 - 1 of L are replaced by the trace functional,
+    each system gets its own LU, and the two solutions must agree; the
+    checks and the normalization are those of ``steady_state``.
+    """
+    size = lv.shape[0]
+    n = math.isqrt(size)
+    coo = lv.tocoo()
+    diagonal = np.arange(n) * (n + 1)
+
+    def solve_with_replaced_row(row_index):
+        keep = coo.row != row_index
+        mat = sp.csc_matrix(
+            (
+                np.concatenate([coo.data[keep], np.ones(n)]),
+                (
+                    np.concatenate([coo.row[keep], np.full(n, row_index)]),
+                    np.concatenate([coo.col[keep], diagonal]),
+                ),
+            ),
+            shape=(size, size),
+        )
+        rhs = np.zeros(size, dtype=complex)
+        rhs[row_index] = 1.0
+        try:
+            return splu(mat).solve(rhs)
+        except RuntimeError as exc:
+            raise NumericalError(f"steady-state solve failed: {exc}") from exc
+
+    x1 = solve_with_replaced_row(0)
+    x2 = solve_with_replaced_row(size - 1)
+    if np.max(np.abs(x1 - x2)) > 1e-8 * max(1.0, np.max(np.abs(x1))):
+        raise NumericalError("Liouvillian kernel is degenerate")
+    residual = np.linalg.norm(lv @ x1)
+    if residual > 1e-9 * max(norm(lv) * np.linalg.norm(x1), 1.0):
+        raise NumericalError(f"steady-state residual {residual:.3g} too large")
+    rho = x1.reshape((n, n), order="F")
+    rho = 0.5 * (rho + rho.conj().T)
+    state = TruncatedState(rho=rho / np.trace(rho).real, n_trunc=n)
+    if state.tail_population > TAIL_THRESHOLD:
+        raise TruncationError("top-level population exceeds the threshold")
+    return state
 
 
 def device_dissipators(mech, g_minus, plus_ratio, meas_ratio=0.0, angle=0.0):
@@ -264,6 +313,130 @@ class TestSteadyState:
         rho[1, 1] = -0.2
         with pytest.raises(NumericalError):
             TruncatedState(rho=rho, n_trunc=4)
+
+
+def two_block_generator(eps, seed):
+    """Classical jumps between the levels of two 3-level blocks, linked at rate eps.
+
+    Levels 0-2 and 3-5 jump among themselves at random rates; eps joins
+    level 2 and level 3 both ways, so at eps = 0 the kernel is two-fold.
+    Jumps into the top level are slowed 1e7-fold to keep it nearly empty.
+    Coherences only decay, so the generator conserves the parity of p + q.
+    """
+    n = 6
+    rng = np.random.default_rng(seed)
+    rates = np.zeros((n, n))  # rates[i, j]: jump from level i to level j
+    for block in (range(0, 3), range(3, 6)):
+        for i in block:
+            for j in block:
+                if i != j:
+                    rates[i, j] = rng.uniform(0.5, 2.0)
+    rates[:, n - 1] *= 1e-7
+    rates[2, 3] = rates[3, 2] = eps
+    out = rates.sum(axis=1)
+    index = np.arange(n * n).reshape(n, n)  # index[q, p] = p + qN
+    lv = sp.lil_matrix((n * n, n * n), dtype=complex)
+    for p in range(n):
+        for q in range(n):
+            lv[index[q, p], index[q, p]] = -0.5 * (out[p] + out[q])
+    for i, j in zip(*np.nonzero(rates)):
+        lv[index[j, j], index[i, i]] += rates[i, j]
+    return lv.tocsr()
+
+
+class TestSectorSolve:
+    """One LU of the even parity sector against the two-factorization reference."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4])
+    def test_weakly_linked_blocks_agree(self, eps, seed):
+        lv = two_block_generator(eps, seed)
+        state = steady_state(lv)
+        reference = two_factorization_steady_state(lv)
+        np.testing.assert_allclose(state.rho, reference.rho, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("eps", [1e-12, 0.0])
+    def test_degenerate_blocks_detected(self, eps, seed):
+        lv = two_block_generator(eps, seed)
+        with pytest.raises(NumericalError):
+            two_factorization_steady_state(lv)
+        with pytest.raises(NumericalError):
+            steady_state(lv)
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e9])
+    def test_scaled_generator_keeps_the_state(self, mech, scale):
+        lv = build_liouvillian(device_dissipators(mech, 200.0, 0.2, 0.3, 1.0), 27)
+        expected = steady_state(lv).populations
+        scaled = steady_state(scale * lv).populations
+        np.testing.assert_allclose(scaled, expected, rtol=0.0, atol=1e-12)
+
+    def test_sector_coupling_rejected(self):
+        # a coherent drive -i[F (b + b+), rho] mixes the parity of p + q
+        n = 10
+        d = EffectiveDissipators(gamma_m=1.0, n_thermal=0.5)
+        b = _lowering(n)
+        h = 0.3 * (b + b.conj().T)
+        eye = sp.identity(n, dtype=complex, format="csr")
+        drive = -1j * (sp.kron(eye, h) - sp.kron(h.T, eye))
+        with pytest.raises(DomainError, match="parity"):
+            steady_state((build_liouvillian(d, n) + drive).tocsr())
+
+    def test_one_factorization_per_solve(self, mech, monkeypatch):
+        calls = []
+
+        def spy(mat):
+            calls.append(mat.shape)
+            return splu(mat)
+
+        monkeypatch.setattr(oracle, "splu", spy)
+        steady_state(build_liouvillian(device_dissipators(mech, 300.0, 0.1, 0.1, 0.5), 18))
+        assert calls == [(162, 162)]  # the even sector of N = 18: 18^2 / 2 unknowns
+
+    @pytest.mark.parametrize("g_minus, plus_ratio, meas_ratio, angle, n_trunc", LADDER_CASES[:5])
+    def test_odd_block_is_well_conditioned(
+        self, mech, g_minus, plus_ratio, meas_ratio, angle, n_trunc
+    ):
+        # the solve skips the odd sector, which would hide a kernel there
+        d = device_dissipators(mech, g_minus, plus_ratio, meas_ratio, angle)
+        lv = build_liouvillian(d, n_trunc)
+        index = np.arange(n_trunc**2)
+        odd = np.flatnonzero((index % n_trunc + index // n_trunc) % 2 == 1)
+        assert np.linalg.cond(lv[odd][:, odd].toarray()) < 1e6
+
+
+settled_baths = st.builds(
+    lambda gamma_m, n_thermal, pairs: EffectiveDissipators(
+        gamma_m=gamma_m,
+        n_thermal=n_thermal,
+        engineered=tuple((m * np.exp(1j * a), r * m * np.exp(1j * b)) for m, r, a, b in pairs),
+    ),
+    gamma_m=st.floats(min_value=0.01, max_value=10.0),
+    n_thermal=st.floats(min_value=0.0, max_value=1.0),
+    pairs=st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=30.0),
+            st.floats(min_value=0.0, max_value=0.6),
+            st.floats(min_value=0.0, max_value=2.0 * math.pi),
+            st.floats(min_value=0.0, max_value=2.0 * math.pi),
+        ),
+        max_size=3,
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=settled_baths, n=st.integers(min_value=2, max_value=40))
+def test_sector_solve_matches_two_factorizations(d, n):
+    # baths near the vacuum, so that most truncations hold their state
+    lv = build_liouvillian(d, n)
+    try:
+        reference = two_factorization_steady_state(lv)
+    except NumericalError as exc:
+        with pytest.raises(type(exc)):
+            steady_state(lv)
+        return
+    np.testing.assert_allclose(steady_state(lv).rho, reference.rho, rtol=0.0, atol=1e-12)
 
 
 class TestQuadVariance:

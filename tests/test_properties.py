@@ -98,3 +98,11 @@ def test_lyapunov_matches_the_closed_form(cfg, drives):
         np.testing.assert_allclose(
             variance_of_phase(lyap, phi), variance_of_phase(closed, phi), rtol=0.01
         )
+
+
+@settings(max_examples=40, deadline=None)
+@given(drives=resonant_pairs)
+def test_lyapunov_covariance_is_physical(cfg, drives):
+    # V + iJ >= 0: the uncertainty principle for all three modes at once
+    ds = device_drive_set(cfg.mech, *drives)
+    assert steady_covariance(build_linear_model(cfg, ds)).is_physical()
