@@ -35,6 +35,7 @@ from scipy.linalg import solve_continuous_lyapunov
 
 from .analytic import QuadratureMoments
 from .errors import DomainError, InstabilityError, NumericalError
+from .lsq import levenberg_marquardt
 from .sysmodel import LOWER, RESOLVED_SIDEBAND_RATIO, UPPER, DriveSet, SystemConfig
 from .tables import write_csv
 
@@ -469,8 +470,6 @@ def transparency_window_fwhm(cfg: SystemConfig, ds: DriveSet, probe_cavity: int)
     pole width is the window's FWHM; in the weak-coupling limit it equals
     the total mechanical damping gamma_m + sum(gamma_minus - gamma_plus).
     """
-    from scipy.optimize import least_squares
-
     width_guess = abs(effective_linewidth(cfg, ds))
     grid = np.linspace(-_WINDOW_SPAN * width_guess, _WINDOW_SPAN * width_guess, _WINDOW_POINTS)
     s11 = driven_response(cfg, ds, probe_cavity, grid)
@@ -496,17 +495,15 @@ def transparency_window_fwhm(cfg: SystemConfig, ds: DriveSet, probe_cavity: int)
         d = p[4] + 1j * p[5]
         inv = 1.0 / (-1j * (grid - p[6]) + p[7] / 2.0)
         pole = d * inv * inv
-        cols = np.stack(
-            [ones, 1j * ones, grid, 1j * grid, inv, 1j * inv, -1j * pole, -0.5 * pole], axis=1
-        )
-        return np.concatenate([cols.real, cols.imag])
+        rows = np.stack([ones, 1j * ones, grid, 1j * grid, inv, 1j * inv, -1j * pole, -0.5 * pole])
+        return np.concatenate([rows.real, rows.imag], axis=1)
 
-    sol = least_squares(
-        residuals, p0, jac=jacobian, method="lm", xtol=1e-14, ftol=1e-14, gtol=1e-14
+    p, info = levenberg_marquardt(
+        residuals, jacobian, p0, ftol=1e-14, xtol=1e-14, gtol=1e-14, maxfev=100 * p0.size
     )
-    if not sol.success or sol.x[7] <= 0:
+    if info not in (1, 2, 3, 4) or p[7] <= 0:
         raise NumericalError("transparency window fit did not converge")
-    return float(sol.x[7])
+    return float(p[7])
 
 
 def write_spectrum_csv(spectrum: Spectrum, path) -> None:

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.optimize import OptimizeWarning, curve_fit
 
 from .errors import DomainError, FitError
+from .lsq import levenberg_marquardt
 from .synthesis import NoisySpectrum
 
 
@@ -125,6 +124,11 @@ def fit_lorentzian(
     fitted area is not significant at one standard error falls back to a
     flat-background fit flagged ``zero_area``.
 
+    The least-squares fit is ``lsq.levenberg_marquardt`` (MINPACK's
+    Levenberg-Marquardt) with the analytic Jacobian of the floating
+    parameters; their errors come from (J^T J)^-1 at the solution, with the
+    per-bin errors taken as absolute.
+
     Raises
     ------
     FitError
@@ -161,42 +165,59 @@ def fit_lorentzian(
     start.update(init or {})
     start.update(fixed)
 
-    def model(f, *theta):
-        params = dict(fixed)
-        params.update(zip(free, theta))
-        return lorentzian(f, *(params[name] for name in _PARAM_ORDER))
+    def params(theta):
+        values = dict(fixed)
+        values.update(zip(free, theta))
+        return [values[name] for name in _PARAM_ORDER]
 
-    try:
-        with warnings.catch_warnings():
-            # a singular covariance on peakless data is handled by the
-            # flat-background fallback below
-            warnings.simplefilter("ignore", OptimizeWarning)
-            popt, pcov = curve_fit(
-                model,
-                freq,
-                y,
-                p0=[start[name] for name in free],
-                sigma=err,
-                absolute_sigma=True,
-                xtol=1e-12,
-                ftol=1e-12,
-                maxfev=20000,
-            )
-    except RuntimeError as exc:
+    def residuals(theta):
+        return (lorentzian(freq, *params(theta)) - y) / err
+
+    weight = 1.0 / err
+
+    def jacobian(theta):
+        center, fwhm, area, _ = params(theta)
+        offset = freq - center
+        inv = 1.0 / (offset**2 + fwhm**2 / 4.0)
+        weighted = weight * inv
+        peak = area * inv * weighted
+        rows = {
+            "center": lambda: (2.0 * fwhm) * offset * peak,
+            "fwhm": lambda: (offset**2 - fwhm**2 / 4.0) * peak,
+            "area": lambda: fwhm * weighted,
+            "background": lambda: weight,
+        }
+        return np.stack([rows[name]() for name in free])
+
+    popt, info = levenberg_marquardt(
+        residuals,
+        jacobian,
+        [start[name] for name in free],
+        ftol=1e-12,
+        xtol=1e-12,
+        maxfev=20000,
+    )
+    if info not in (1, 2, 3, 4):
         flat = _flat_background_fit(freq, y, err)
         if flat.chi2_dof < 2.0:
             return flat
-        raise FitError(f"Lorentzian fit did not converge: {exc}") from exc
-    values = dict(fixed)
-    values.update(zip(free, popt))
+        raise FitError(f"Lorentzian fit did not converge (MINPACK info {info})")
+    # a singular covariance on peakless data is handled by the
+    # flat-background fallback below
+    jac = jacobian(popt)
+    try:
+        pcov = np.linalg.inv(jac @ jac.T)
+    except np.linalg.LinAlgError:
+        pcov = np.full((len(free), len(free)), np.inf)
+    variances = np.diag(pcov)
+    values = dict(zip(_PARAM_ORDER, params(popt)))
     errors = dict.fromkeys(_PARAM_ORDER, 0.0)
-    errors.update(zip(free, np.sqrt(np.diag(pcov))))
+    errors.update(zip(free, np.sqrt(np.where(variances >= 0.0, variances, np.nan))))
     if not all(np.isfinite(errors[name]) for name in free) or (
         "area" in free and abs(values["area"]) <= errors["area"]
     ):
         return _flat_background_fit(freq, y, err)
-    resid = (lorentzian(freq, *(values[name] for name in _PARAM_ORDER)) - y) / err
-    chi2 = float(np.sum(resid**2) / max(len(y) - len(free), 1))
+    chi2 = float(np.sum(residuals(popt) ** 2) / max(len(y) - len(free), 1))
     return LorentzianFit(
         center=float(values["center"]),
         # a negative-width minimum is the same curve; report the canonical sign

@@ -29,6 +29,9 @@ from .sysmodel import LOWER, UPPER, DriveSet, MechanicalMode
 
 TAIL_THRESHOLD = 1e-6
 _TRACE_TOL = 1e-10
+# smallest-to-largest |U_ii| of the sector LU at or below which the kernel
+# counts as degenerate
+_PIVOT_RATIO = 1e-12
 _EIGENVALUE_TOL = 1e-10
 
 
@@ -199,14 +202,28 @@ def steady_state(lv: sp.spmatrix) -> TruncatedState:
     The even block with its rho[0, 0] row replaced by the trace functional
     is factorized once, and the LU solves two right-hand sides: the unit
     vector of that row gives the state x1, the unit vector of the
-    rho[N-1, N-1] row gives z1. Kernel uniqueness is checked against x2,
-    the solution with the last row replaced instead: the two systems differ
-    only in those two rows, so x2 = x1 - (l0 . x1) / (l0 . z1) z1 exactly,
-    with l0 the rho[0, 0] row of L (trace preservation makes l0 . z1 = -1).
-    A degenerate kernel yields inconsistent solutions. A kernel vector in
-    the odd sector carries no trace and goes unchecked; on the device's
-    drive sets up to N = 41 the odd block's smallest-to-largest singular
-    value ratio stays above 2e-4.
+    rho[N-1, N-1] row gives z1.
+
+    Two checks guard the uniqueness of the kernel; neither is a proof.
+    - Pivots: a second even kernel vector makes the constrained block
+      singular, because some combination of the two carries no trace.
+      SuperLU then either fails with an exactly zero pivot or leaves one at
+      rounding level (below 3e-16 of the largest on two closed three-level
+      blocks), so a smallest-to-largest |U_ii| ratio at or below 1e-12
+      raises. The device's drive sets stay above 2e-4. The ratio is not a
+      condition number: a nearly degenerate kernel (a slowly relaxing
+      generator) whose pivots stay above 1e-12 passes, and so would a
+      singular block whose LU, pivoted for sparsity as well as stability,
+      kept every pivot large.
+    - Row swap: x1 is compared with x2, the solution with the last row
+      replaced instead. The two systems differ only in those two rows, so
+      x2 = x1 - (l0 . x1) / (l0 . z1) z1 exactly, with l0 the rho[0, 0]
+      row of L (trace preservation makes l0 . z1 = -1). This sees only a
+      degenerate kernel whose parts differ in the rho[0, 0] and
+      rho[N-1, N-1] rows.
+    A kernel vector in the odd sector carries no trace and is not seen by
+    either check; on the device's drive sets up to N = 41 the odd block's
+    smallest-to-largest singular value ratio stays above 2e-4.
 
     Raises
     ------
@@ -245,9 +262,16 @@ def steady_state(lv: sp.spmatrix) -> TruncatedState:
     rhs = np.zeros((even.size, 2), dtype=complex)
     rhs[0, 0] = rhs[-1, 1] = 1.0
     try:
-        x1, z1 = splu(mat).solve(rhs).T
+        lu = splu(mat)
+        x1, z1 = lu.solve(rhs).T
     except RuntimeError as exc:
         raise NumericalError(f"steady-state solve failed: {exc}") from exc
+    pivots = np.abs(lu.U.diagonal())
+    if pivots.min() <= _PIVOT_RATIO * pivots.max():
+        raise NumericalError(
+            "Liouvillian kernel is degenerate: smallest-to-largest LU pivot ratio "
+            f"{pivots.min() / pivots.max():.3g}"
+        )
 
     l0, l0_cols = coo.data[first], sector[coo.col[first]]
     l0_z1 = l0 @ z1[l0_cols]

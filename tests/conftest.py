@@ -43,6 +43,28 @@ def squeeze_007(mech):
     return DriveSet(drive_pair(2, rate, 0.07 * rate))
 
 
+def device_drives(mech, g_minus, plus_ratio, meas_ratio=0.0, angle=0.0):
+    """Squeezing pair on cavity 2 plus an optional balanced measurement pair
+    on cavity 1, rates in units of the mechanical damping."""
+    rate = g_minus * mech.gamma
+    drives = drive_pair(2, rate, plus_ratio * rate)
+    if meas_ratio:
+        drives += drive_pair(1, meas_ratio * rate, meas_ratio * rate, angle=angle)
+    return DriveSet(drives)
+
+
+# Drive sets of ``device_drives`` and the oracle truncation ladder rung each
+# converges on, from 8 up to 62
+LADDER_CASES = [
+    (2000.0, 0.0, 0.0, 0.0, 8),
+    (1000.0, 0.05, 0.0, 0.0, 12),
+    (300.0, 0.1, 0.1, 0.5, 18),
+    (200.0, 0.2, 0.3, 1.0, 27),
+    (100.0, 0.3, 0.5, 2.0, 41),
+    (60.0, 0.25, 0.9, 0.3, 62),
+]
+
+
 def qnd_config(mech, ratio, *, cooling=529.0, angle=0.0, detuning=0.0):
     """Cooling tone plus a balanced measurement pair at the given strength."""
     g2 = cooling * mech.gamma

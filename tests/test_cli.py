@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import twotone
 from twotone.cli import main
 from twotone.config import bundled_config_path, load_config, parse_config
 from twotone.errors import ConfigError
@@ -379,3 +384,30 @@ class TestScenarioRequirements:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(document))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
+# Imports the package the way the console script does, runs a sweep, and
+# prints the exit code and every scipy.optimize module then loaded.
+_IMPORT_PROBE = """
+import json, sys
+import twotone, twotone.cli, twotone.scenarios
+code = twotone.cli.main(["run", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("scipy.optimize"))]))
+"""
+
+
+class TestImports:
+    def test_run_loads_no_scipy_optimize(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(bundled_document("backaction_sweep.json", ratios=[0.1, 2.44])))
+        src = str(Path(twotone.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, str(config), str(tmp_path / "out")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == [0, []]
