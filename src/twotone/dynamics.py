@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import solve_continuous_lyapunov
 
 from .analytic import QuadratureMoments
 from .errors import DomainError, InstabilityError, NumericalError
@@ -288,6 +287,9 @@ def build_linear_model(cfg: SystemConfig, ds: DriveSet) -> LinearModel:
 def steady_covariance(m: LinearModel) -> CovarianceMatrix:
     """Solve A V + V A^T + D = 0 for the steady-state covariance.
 
+    The equation is one linear system in the entries of V,
+    (I (x) A + A (x) I) vec(V) = -vec(D), 36 x 36 for the six quadratures.
+
     Raises
     ------
     InstabilityError
@@ -301,7 +303,10 @@ def steady_covariance(m: LinearModel) -> CovarianceMatrix:
             f"drift matrix is not stable (max Re eigenvalue {max_re:.4g} rad/s)"
         )
     try:
-        v = solve_continuous_lyapunov(m.drift, -m.diffusion)
+        n = m.drift.shape[0]
+        eye = np.eye(n)
+        kron_sum = np.kron(eye, m.drift) + np.kron(m.drift, eye)
+        v = np.linalg.solve(kron_sum, -m.diffusion.ravel()).reshape(n, n)
     except np.linalg.LinAlgError as exc:
         cond = np.linalg.cond(m.drift)
         raise NumericalError(f"Lyapunov solve failed (cond(A) = {cond:.3g})") from exc

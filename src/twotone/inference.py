@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.ma  # noqa: F401  np.median checks its input against numpy.ma, which numpy loads lazily
 from numpy.typing import NDArray
 
 from .errors import DomainError, FitError

@@ -5,34 +5,47 @@ the mechanical mode as a single collapse operator
 c = sqrt(gamma_minus) e^{i theta_minus} b + sqrt(gamma_plus) e^{i theta_plus} b+,
 the engineered squeezed bath, while the thermal environment contributes the
 usual pair of operators sqrt(gamma_m (n_th + 1)) b and sqrt(gamma_m n_th) b+.
-Every operator is linear in b and b+, so the Liouvillian is assembled in one
-pass from their combined moments (A, B, C) rather than operator by operator.
-The steady state is found by a direct linear solve for the null vector of
-the Liouvillian on a finite Fock space, restricted to the even parity sector
-that holds it, with explicit truncation checks, and
-provides variances against which the closed-form and Lyapunov routes are
-validated. The steady state is Gaussian, so its Fock populations, and with
-them the truncation to start from, follow in closed form from the moments.
+Every operator is linear in b and b+, so the Liouvillian follows in one
+pass from their combined moments (A, B, C) rather than operator by operator,
+as nine index shifts of rho[p, q]. Each shift changes the coherence order
+d = p - q by 0 or +-2, so the even parity sector that holds the steady state
+is block tridiagonal in d, and block -d is the conjugate of block d. The
+steady state on a finite Fock space is found by block elimination from the
+outermost order inward to d = 0, built straight from the moments, with
+explicit uniqueness, residual and truncation checks; it provides variances
+against which the closed-form and Lyapunov routes are validated. The steady
+state is Gaussian, so its Fock populations, and with them the truncation to
+start from, follow in closed form from the moments. scipy is loaded only to
+return sparse matrices, such as the generator of ``build_liouvillian``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.typing import NDArray
-from scipy.sparse.linalg import norm, splu
 
 from .errors import DomainError, InstabilityError, NumericalError, TruncationError
 from .sysmodel import LOWER, UPPER, DriveSet, MechanicalMode
 
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
 TAIL_THRESHOLD = 1e-6
 _TRACE_TOL = 1e-10
-# smallest-to-largest |U_ii| of the sector LU at or below which the kernel
-# counts as degenerate
-_PIVOT_RATIO = 1e-12
+# smallest-to-largest singular value of the constrained order-0 Schur
+# complement at or below which the kernel counts as degenerate
+_SINGULAR_RATIO = 1e-12
 _EIGENVALUE_TOL = 1e-10
+# largest |L[(p, q), (p', q')] - conj L[(q, p), (q', p')]|, relative to the
+# largest entry, that still counts as preserving Hermiticity
+_MIRROR_TOL = 1e-12
+# (dp, dq) of the index shifts L[(p, q), (p + dp, q + dq)] of a generator
+# quadratic in b and b+: within the coherence order d = p - q, to d + 2 with
+# q shifted by 0, -1, -2, and to d - 2 with q shifted by 0, +1, +2
+_SHIFTS = ((0, 0), (1, 1), (-1, -1), (2, 0), (1, -1), (0, -2), (-2, 0), (-1, 1), (0, 2))
 
 
 @dataclass(frozen=True)
@@ -134,7 +147,45 @@ class TruncatedState:
 
 
 def _lowering(n: int) -> sp.csr_matrix:
+    """Truncated lowering operator b as a sparse matrix, for reference builds."""
+    import scipy.sparse as sp
+
     return sp.diags(np.sqrt(np.arange(1, n)), offsets=1, format="csr", dtype=complex)
+
+
+def _bands(A: float, B: float, C: complex, n: int) -> NDArray[np.complex128]:
+    """Generator entries in the rows of coherence order d = p - q >= 0.
+
+    ``bands[k, d, q]`` is L[(p, q), (p + dp, q + dq)] with p = q + d and
+    (dp, dq) the k-th of ``_SHIFTS``, for the generator with moments
+    (A, B, C) on the truncated space (b b+ = diag(1, ..., N-1, 0)). Rows
+    beyond the truncation, and shifts that leave it, hold 0. The rows with
+    d < 0 are the conjugate mirror images (p, q) -> (q, p) of these.
+    """
+    if n < 2:
+        raise DomainError("truncation must be at least 2 to represent the mode")
+    q = np.arange(n)
+    p = q + q[:, None]
+    # sqrt of the level, 0 beyond the truncation; index -1 reads a trailing 0
+    root = np.zeros(2 * n + 2)
+    root[:n] = np.sqrt(np.arange(n))
+    k = np.zeros(2 * n)  # (A b+b + B b b+) on level p
+    k[:n] = A * np.arange(n) + B * np.append(np.arange(1.0, n), 0.0)
+    rp, rp1, rq, rq1 = root[p], root[p + 1], root[:n], root[1 : n + 1]
+    factors = np.empty((9, n, n))
+    factors[0] = k[p] + k[:n]  # -(A b+b + B b b+) rho / 2 and its mirror
+    factors[1] = rp1 * rq1  # A b rho b+
+    factors[2] = rp * rq  # B b+ rho b
+    factors[3] = rp1 * root[p + 2]  # -C b^2 rho / 2
+    factors[4] = rp1 * rq  # C b rho b
+    factors[5] = rq * root[q - 1]  # -C rho b^2 / 2
+    factors[6] = rp * root[p - 1]  # -conj(C) b+^2 rho / 2
+    factors[7] = rp * rq1  # conj(C) b+ rho b+
+    factors[8] = rq1 * root[2 : n + 2]  # -conj(C) rho b+^2 / 2
+    factors *= p < n
+    cc = np.conj(C)
+    coef = np.array([-0.5, A, B, -0.5 * C, C, -0.5 * C, -0.5 * cc, cc, -0.5 * cc])
+    return coef[:, None, None] * factors
 
 
 def build_liouvillian(d: EffectiveDissipators, n_trunc: int) -> sp.csr_matrix:
@@ -145,155 +196,279 @@ def build_liouvillian(d: EffectiveDissipators, n_trunc: int) -> sp.csr_matrix:
     L[rho] = sum_k (c_k rho c_k+ - {c_k+ c_k, rho} / 2). Every collapse
     operator is linear in b and b+, so the sum folds into the moments
     (A, B, C) of ``EffectiveDissipators.moments`` and L into nine index
-    shifts. The products are those of the truncated matrices
-    (b b+ = diag(1, ..., N-1, 0)), so the representation is exact on the
-    truncated space.
+    shifts, those of ``_bands``. The products are those of the truncated
+    matrices (b b+ = diag(1, ..., N-1, 0)), so the representation is exact
+    on the truncated space. The solve itself works on ``coherence_blocks``
+    and needs no scipy; this sparse matrix serves tests and other callers.
     """
-    if n_trunc < 2:
-        raise DomainError("truncation must be at least 2 to represent the mode")
+    import scipy.sparse as sp
+
     n = n_trunc
-    A, B, C = d.moments()
-    root = np.sqrt(np.arange(n + 1))
-    # <p|b|p+1> for p = 0 .. N-2; the same array is sqrt(p) for p = 1 .. N-1
-    lower = root[1:n]
-    lower2 = root[1 : n - 1] * root[2:n]  # <p|b^2|p+2>, p = 0 .. N-3
-    ones = np.ones(n)
-    index = np.arange(n * n).reshape(n, n)  # index[q, p] = p + qN
-
-    rows, cols, vals = [], [], []
-
-    def shift(dp: int, dq: int, coef: complex, fp, fq) -> None:
-        # L[(p, q), (p + dp, q + dq)] = coef * fp[p] * fq[q] on the valid rectangle
-        row = index[max(0, -dq) : n - max(0, dq), max(0, -dp) : n - max(0, dp)]
-        rows.append(row.ravel())
-        cols.append(row.ravel() + (dp + dq * n))
-        vals.append((coef * np.multiply.outer(fq, fp)).ravel())
-
-    shift(1, 1, A, lower, lower)  # A b rho b+
-    shift(-1, -1, B, lower, lower)  # B b+ rho b
-    shift(1, -1, C, lower, lower)  # C b rho b
-    shift(-1, 1, np.conj(C), lower, lower)  # conj(C) b+ rho b+
-    shift(2, 0, -0.5 * C, lower2, ones)  # -C b^2 rho / 2
-    shift(-2, 0, -0.5 * np.conj(C), lower2, ones)  # -conj(C) b+^2 rho / 2
-    shift(0, -2, -0.5 * C, ones, lower2)  # -C rho b^2 / 2
-    shift(0, 2, -0.5 * np.conj(C), ones, lower2)  # -conj(C) rho b+^2 / 2
-    # -(A b+b + B b b+) rho / 2 and its mirror
-    k = A * np.arange(n) + B * np.append(np.arange(1.0, n), 0.0)
-    rows.append(index.ravel())
-    cols.append(index.ravel())
-    vals.append((-0.5 * np.add.outer(k, k)).ravel())
-
-    row, col, val = (np.concatenate(x) for x in (rows, cols, vals))
-    keep = val != 0  # a zero moment or B = 0 at rho[0, 0] leaves no entry
-    return sp.csr_matrix(
-        (val[keep], (row[keep], col[keep])), shape=(n * n, n * n), dtype=complex
-    )
+    bands = _bands(*d.moments(), n)
+    k, order, q = np.nonzero(bands)  # a zero moment or B = 0 at rho[0, 0] leaves no entry
+    val = bands[k, order, q]
+    p = q + order
+    shift = np.array(_SHIFTS)[k]
+    p_to, q_to = p + shift[:, 0], q + shift[:, 1]
+    mirror = order > 0  # rows with d < 0: L[(q, p), (q', p')] = conj L[(p, q), (p', q')]
+    rows = np.concatenate([p + q * n, (q + p * n)[mirror]])
+    cols = np.concatenate([p_to + q_to * n, (q_to + p_to * n)[mirror]])
+    vals = np.concatenate([val, val[mirror].conj()])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n * n, n * n), dtype=complex)
 
 
-def steady_state(lv: sp.spmatrix) -> TruncatedState:
-    """Normalized kernel vector of the Liouvillian as a density matrix.
+@dataclass(frozen=True)
+class CoherenceBlocks:
+    """Even parity sector of a generator, in blocks of coherence order d.
 
-    Every collapse operator is linear in b and b+, so the generator conserves
-    the parity of p + q for rho[p, q] (Albert & Jiang, PRA 89, 022118
-    (2014)); ``lv`` must not couple the even and odd sectors. The trace
-    functional lives in the even sector, so only that block, about N^2 / 2
-    unknowns, is solved and the odd entries of the state are zero.
+    The sector holds rho[q + d, q] for even d. Block d >= 0 is indexed by
+    q = 0 .. N - 1 - d; block -d, rho[q, q + d], is its conjugate mirror
+    image, and so are its rows of the generator, so only d = 2j >= 0 is
+    stored.
+    - ``diagonal[j]``: the dense block of order 2j onto itself.
+    - ``up[i, j, q]``: the entry of row rho[q + 2j, q] at
+      rho[q + 2j + 2 - i, q - i], in order 2j + 2.
+    - ``down[i, j, q]``: the entry of that row at rho[q + 2j - 2 + i, q + i],
+      in order 2j - 2.
+    - ``norm``: the Frobenius norm of the whole generator, both parity
+      sectors and both signs of d.
+    """
 
-    The even block with its rho[0, 0] row replaced by the trace functional
-    is factorized once, and the LU solves two right-hand sides: the unit
-    vector of that row gives the state x1, the unit vector of the
-    rho[N-1, N-1] row gives z1.
+    n_trunc: int
+    diagonal: tuple[NDArray[np.complex128], ...]
+    up: NDArray[np.complex128]
+    down: NDArray[np.complex128]
+    norm: float
 
-    Two checks guard the uniqueness of the kernel; neither is a proof.
-    - Pivots: a second even kernel vector makes the constrained block
-      singular, because some combination of the two carries no trace.
-      SuperLU then either fails with an exactly zero pivot or leaves one at
-      rounding level (below 3e-16 of the largest on two closed three-level
-      blocks), so a smallest-to-largest |U_ii| ratio at or below 1e-12
-      raises. The device's drive sets stay above 2e-4. The ratio is not a
-      condition number: a nearly degenerate kernel (a slowly relaxing
-      generator) whose pivots stay above 1e-12 passes, and so would a
-      singular block whose LU, pivoted for sparsity as well as stability,
-      kept every pivot large.
-    - Row swap: x1 is compared with x2, the solution with the last row
-      replaced instead. The two systems differ only in those two rows, so
-      x2 = x1 - (l0 . x1) / (l0 . z1) z1 exactly, with l0 the rho[0, 0]
-      row of L (trace preservation makes l0 . z1 = -1). This sees only a
-      degenerate kernel whose parts differ in the rho[0, 0] and
-      rho[N-1, N-1] rows.
-    A kernel vector in the odd sector carries no trace and is not seen by
-    either check; on the device's drive sets up to N = 41 the odd block's
-    smallest-to-largest singular value ratio stays above 2e-4.
+    @property
+    def shape(self) -> tuple[int, int]:
+        """Shape of the generator the blocks belong to."""
+        return (self.n_trunc**2, self.n_trunc**2)
+
+
+def coherence_blocks(d: EffectiveDissipators, n_trunc: int) -> CoherenceBlocks:
+    """The blocks of ``build_liouvillian(d, n_trunc)``, built from the bands.
+
+    Each diagonal block is tridiagonal, and each coupling to d +- 2 has the
+    three bands ``up`` and ``down``.
+    """
+    n = n_trunc
+    bands = _bands(*d.moments(), n)
+    norm = _both_signs_norm(bands.swapaxes(0, 1))
+    even = bands[:, ::2]
+    diagonal = []
+    for j, m in enumerate(range(n, 0, -2)):
+        block = np.zeros((m, m), dtype=complex)
+        block.flat[:: m + 1] = even[0, j, :m]
+        block.flat[1 :: m + 1] = even[1, j, : m - 1]
+        block.flat[m :: m + 1] = even[2, j, 1:m]
+        diagonal.append(block)
+    return CoherenceBlocks(n, tuple(diagonal), even[3:6], even[6:9], norm)
+
+
+def _generator_blocks(lv: sp.spmatrix) -> CoherenceBlocks:
+    """Blocks of a sparse generator on column-stacked density matrices.
 
     Raises
     ------
     DomainError
-        If the size is not a perfect square or ``lv`` couples the two
-        parity sectors.
-    NumericalError
-        If the kernel is degenerate or the solve fails.
-    TruncationError
-        If the top-level population exceeds ``TAIL_THRESHOLD``.
+        If the size is not a perfect square, or ``lv`` lacks the parity
+        structure of a generator quadratic in b and b+: it couples orders d
+        and d' with d' - d odd (the two parity sectors) or beyond +-2, couples
+        d and d +- 2 outside the three bands, or does not preserve
+        Hermiticity, L[(p, q), (p', q')] = conj L[(q, p), (q', p')].
     """
     size = lv.shape[0]
     n = int(round(np.sqrt(size)))
     if n * n != size:
         raise DomainError("Liouvillian size is not a perfect square")
-
-    coo = lv.tocoo()
-    index = np.arange(size)
-    odd = (index % n + index // n) % 2 == 1
-    if np.any(odd[coo.row] != odd[coo.col]):
+    coo = lv.tocoo(copy=True)
+    coo.sum_duplicates()
+    nonzero = coo.data != 0
+    row, col, val = coo.row[nonzero], coo.col[nonzero], coo.data[nonzero]
+    p, q, p_to, q_to = row % n, row // n, col % n, col // n
+    step = (p_to - q_to) - (p - q)
+    if np.any(step % 2):
         raise DomainError("Liouvillian couples the even and odd parity sectors")
-    even = np.flatnonzero(~odd)  # starts at rho[0, 0], ends at rho[N-1, N-1]
-    sector = np.cumsum(~odd) - 1  # position of each even index within ``even``
-    first = coo.row == 0
-    keep = ~(odd[coo.row] | first)
-    mat = sp.csc_matrix(
-        (
-            np.concatenate([coo.data[keep], np.ones(n)]),
-            (
-                np.concatenate([sector[coo.row[keep]], np.zeros(n, dtype=int)]),
-                np.concatenate([sector[coo.col[keep]], sector[np.arange(n) * (n + 1)]]),
-            ),
-        ),
-        shape=(even.size, even.size),
-    )
-    rhs = np.zeros((even.size, 2), dtype=complex)
-    rhs[0, 0] = rhs[-1, 1] = 1.0
-    try:
-        lu = splu(mat)
-        x1, z1 = lu.solve(rhs).T
-    except RuntimeError as exc:
-        raise NumericalError(f"steady-state solve failed: {exc}") from exc
-    pivots = np.abs(lu.U.diagonal())
-    if pivots.min() <= _PIVOT_RATIO * pivots.max():
-        raise NumericalError(
-            "Liouvillian kernel is degenerate: smallest-to-largest LU pivot ratio "
-            f"{pivots.min() / pivots.max():.3g}"
+    offset = q_to - q
+    coupling = step != 0
+    if np.any(np.abs(step) > 2) or np.any(coupling & ((step * offset > 0) | (np.abs(offset) > 2))):
+        raise DomainError(
+            "Liouvillian lacks the parity structure of a generator quadratic in b and "
+            "b+: it is not block tridiagonal in the coherence order with three-band couplings"
+        )
+    key = row * size + col
+    mirror = (q + p * n) * size + (q_to + p_to * n)
+    by_key, by_mirror = np.argsort(key), np.argsort(mirror)
+    if not np.array_equal(key[by_key], mirror[by_mirror]) or np.any(
+        np.abs(val[by_key] - np.conj(val[by_mirror]))
+        > _MIRROR_TOL * np.max(np.abs(val), initial=0.0)
+    ):
+        raise DomainError(
+            "Liouvillian does not preserve Hermiticity, which its parity-sector "
+            "solve relies on"
         )
 
-    l0, l0_cols = coo.data[first], sector[coo.col[first]]
-    l0_z1 = l0 @ z1[l0_cols]
+    order = p - q
+    sector = (order >= 0) & (order % 2 == 0)
+    j, orders = order // 2, (n + 1) // 2
+    within, raised, lowered = (sector & (step == s) for s in (0, 2, -2))
+    padded = np.zeros((orders, n, n), dtype=complex)
+    padded[j[within], q[within], q_to[within]] = val[within]
+    up = np.zeros((3, orders, n), dtype=complex)
+    up[-offset[raised], j[raised], q[raised]] = val[raised]
+    down = np.zeros((3, orders, n), dtype=complex)
+    down[offset[lowered], j[lowered], q[lowered]] = val[lowered]
+    diagonal = tuple(padded[k, : n - 2 * k, : n - 2 * k] for k in range(orders))
+    return CoherenceBlocks(n, diagonal, up, down, float(np.linalg.norm(val)))
+
+
+def _both_signs_norm(a: NDArray) -> float:
+    """2-norm of the entries a[d, ...] of orders d >= 0 and their mirrors at -d."""
+    return float(np.sqrt(2.0 * np.sum(np.abs(a) ** 2) - np.sum(np.abs(a[0]) ** 2)))
+
+
+def _raise_order(up: NDArray[np.complex128], x: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """L_{d, d+2} x for the bands ``up`` of order d and columns x on order d + 2."""
+    m = x.shape[0]
+    out = np.zeros((m + 2, x.shape[1]), dtype=complex)
+    for i in range(3):
+        out[i : m + i] += up[i, i : m + i, None] * x
+    return out
+
+
+def steady_state(lv: sp.spmatrix | CoherenceBlocks) -> TruncatedState:
+    """Normalized kernel vector of the Liouvillian as a density matrix.
+
+    Every collapse operator is linear in b and b+, so each term of the
+    generator changes the coherence order d = p - q of rho[p, q] by 0 or +-2
+    and conserves the parity of d (Albert & Jiang, PRA 89, 022118 (2014)).
+    The trace functional lives in the even sector, so only that sector is
+    solved and the odd entries of the state are zero. Ordered by d, the
+    even sector is block tridiagonal, and the generator preserves
+    Hermiticity, so block -d is the conjugate of block d. ``lv`` is either
+    the blocks of ``coherence_blocks`` or a sparse generator, which is
+    converted to them and must have this structure.
+
+    Block elimination (Golub & Van Loan, Matrix Computations, ch. 4) runs
+    from the outermost order inward: W_d = S_d^-1 L_{d,d-2} and
+    S_{d-2} = L_{d-2,d-2} - L_{d-2,d} W_d, starting from S = L at the top.
+    Only d > 0 is eliminated; order -d contributes the conjugate, so the
+    order-0 Schur complement is L_00 - M - conj(M) with M = L_{0,2} W_2. Its
+    rho[0, 0] row is replaced by the trace functional, scaled to the
+    root-mean-square row norm so that no check depends on the units of L,
+    and that N x N matrix solves two right-hand sides: the (scaled) unit
+    vector of that row gives the state x1 with unit trace, the unit vector
+    of the rho[N-1, N-1] row gives z1. Back
+    substitution x_d = -W_d x_{d-2} fills rho[q + d, q] and, conjugated,
+    rho[q, q + d].
+
+    Three checks guard the solve; none is a proof of uniqueness.
+    - Singular values: with every outer Schur block nonsingular, the
+      constrained even sector is singular exactly when the constrained
+      order-0 Schur complement is, and a second even kernel vector makes it
+      singular, because some combination of the two carries no trace. A
+      smallest-to-largest singular value ratio of that N x N matrix at or
+      below 1e-12 raises; an exactly singular outer block raises too. The
+      ratio is a condition number of the reduced matrix only: a nearly
+      degenerate kernel (a slowly relaxing generator) above 1e-12 passes,
+      and an outer block that is nearly singular is seen only through the
+      residual.
+    - Row swap: x1 is compared with x2, the solution with the last row
+      replaced instead. The two systems differ only in those two rows, both
+      of order 0, so x2 = x1 - (l0 . x1) / (l0 . z1) z1 exactly, with l0 the
+      rho[0, 0] row of the order-0 Schur complement (trace preservation
+      makes l0 . z1 = -1). This sees only a degenerate kernel whose parts
+      differ in the rho[0, 0] and rho[N-1, N-1] rows.
+    - Residual: ||L x|| over both signs of d, against the generator's
+      Frobenius norm times ||x||, sees a solve spoiled by an ill-conditioned
+      outer block.
+    A kernel vector in the odd sector carries no trace and is seen by none
+    of them; on the device's drive sets up to N = 41 the odd block's
+    smallest-to-largest singular value ratio stays above 2e-4.
+
+    Raises
+    ------
+    DomainError
+        If a sparse ``lv`` is not a square Liouvillian with the parity
+        structure above.
+    NumericalError
+        If the kernel is degenerate or the solve fails.
+    TruncationError
+        If the top-level population exceeds ``TAIL_THRESHOLD``.
+    """
+    blocks = lv if isinstance(lv, CoherenceBlocks) else _generator_blocks(lv)
+    n, diagonal, up, down = blocks.n_trunc, blocks.diagonal, blocks.up, blocks.down
+    top = len(diagonal) - 1
+    w = [None] * (top + 1)
+    schur = diagonal[top]
+    for j in range(top, 0, -1):
+        m = n - 2 * j
+        lowered = np.zeros((m, m + 2), dtype=complex)
+        for i in range(3):
+            lowered.flat[i :: m + 3] = down[i, j, :m]
+        try:
+            w[j] = np.linalg.solve(schur, lowered)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"steady-state solve failed: the Schur block of order {2 * j} is singular"
+            ) from exc
+        inflow = _raise_order(up[:, j - 1], w[j])
+        schur = diagonal[j - 1] - inflow
+    if top:
+        schur -= inflow.conj()  # order -2 mirrors order 2
+
+    l0 = schur[0]
+    trace = np.linalg.norm(schur) / n  # the row norm of n entries of this size
+    constrained = np.vstack([np.full(n, trace), schur[1:]])
+    rhs = np.zeros((n, 2))
+    rhs[0, 0], rhs[-1, 1] = trace, 1.0
+    try:
+        singular = np.linalg.svd(constrained, compute_uv=False)
+        if not singular[-1] > _SINGULAR_RATIO * singular[0]:
+            ratio = singular[-1] / singular[0] if singular[0] > 0 else 0.0
+            raise NumericalError(
+                "Liouvillian kernel is degenerate: smallest-to-largest singular value "
+                f"ratio {ratio:.3g} of the constrained order-0 Schur complement"
+            )
+        x = np.zeros((top + 1, n, 2), dtype=complex)
+        x[0] = np.linalg.solve(constrained, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"steady-state solve failed: {exc}") from exc
+    for j in range(1, top + 1):
+        x[j, : n - 2 * j] = -w[j] @ x[j - 1, : n - 2 * j + 2]
+    x1, z1 = x[..., 0], x[..., 1]
+
+    l0_z1 = l0 @ z1[0]
     if l0_z1 == 0 or not np.isfinite(l0_z1):
         raise NumericalError("steady-state solve failed: the last-row constraint is singular")
-    x2 = x1 - (l0 @ x1[l0_cols]) / l0_z1 * z1
-    if np.max(np.abs(x1 - x2)) > 1e-8 * max(1.0, np.max(np.abs(x1))):
+    if np.max(np.abs((l0 @ x1[0]) / l0_z1 * z1)) > 1e-8 * max(1.0, np.max(np.abs(x1))):
         raise NumericalError(
             "Liouvillian kernel is degenerate: steady state depends on the "
             "imposed constraint row"
         )
-    x = np.zeros(size, dtype=complex)
-    x[even] = x1
-    residual = np.linalg.norm(lv @ x)
-    scale = norm(lv) * np.linalg.norm(x)
+
+    # the state as returned: real populations, order -d the conjugate of d
+    x1[0] = x1[0].real
+    above = np.zeros((top + 2, n + 2), dtype=complex)
+    above[: top + 1, 2:] = x1
+    below = np.zeros((top + 1, n + 2), dtype=complex)
+    below[1:, :n] = x1[:-1]
+    raised = sum(up[i] * above[1:, 2 - i : n + 2 - i] for i in range(3))
+    residual = raised + sum(down[i] * below[:, i : n + i] for i in range(3))
+    residual[0] += raised[0].conj()
+    for j, block in enumerate(diagonal):
+        residual[j, : n - 2 * j] += block @ x1[j, : n - 2 * j]
+    residual = _both_signs_norm(residual)
+    scale = blocks.norm * _both_signs_norm(x1)
     if residual > 1e-9 * max(scale, 1.0):
         raise NumericalError(f"steady-state residual {residual:.3g} too large")
 
-    rho = x.reshape((n, n), order="F")
-    rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / np.trace(rho).real
-    state = TruncatedState(rho=rho, n_trunc=n)
+    j, q = np.nonzero(np.arange(n) + 2 * np.arange(top + 1)[:, None] < n)
+    rho = np.zeros((n, n), dtype=complex)
+    rho[q + 2 * j, q] = x1[j, q]
+    rho[q, q + 2 * j] = x1[j, q].conj()
+    state = TruncatedState(rho=rho / np.trace(rho).real, n_trunc=n)
     if state.tail_population > TAIL_THRESHOLD:
         raise TruncationError(
             f"top-level population {state.tail_population:.3g} exceeds "
@@ -303,11 +478,26 @@ def steady_state(lv: sp.spmatrix) -> TruncatedState:
 
 
 def quad_variance(s: TruncatedState, phi: float) -> float:
-    """Variance of X_phi = b e^{-i phi} + b+ e^{i phi} in the state."""
-    b = _lowering(s.n_trunc).toarray()
-    x = b * np.exp(-1j * phi) + b.conj().T * np.exp(1j * phi)
-    mean = np.trace(s.rho @ x).real
-    second = np.trace(s.rho @ x @ x).real
+    """Variance of X_phi = b e^{-i phi} + b+ e^{i phi} in the state.
+
+    Tr(rho X) needs the diagonals d = +-1 of rho and Tr(rho X^2) those of
+    d = 0 and +-2, with the truncated b b+ + b+ b = diag(1, 3, ..., 2N-3, N-1).
+    """
+    rho, n = s.rho, s.n_trunc
+    phase = np.exp(-1j * phi)
+    level = np.arange(n, dtype=float)
+    one = np.sqrt(level[1:])  # <q|b|q+1>
+    two = one[:-1] * one[1:]  # <q|b^2|q+2>
+    mean = (
+        phase * (one @ np.diagonal(rho, -1)) + np.conj(phase) * (one @ np.diagonal(rho, 1))
+    ).real
+    number = 2.0 * level + 1.0
+    number[-1] = n - 1.0
+    second = (
+        number @ np.diagonal(rho).real
+        + (phase**2 * (two @ np.diagonal(rho, -2))).real
+        + (np.conj(phase) ** 2 * (two @ np.diagonal(rho, 2))).real
+    )
     return float(second - mean * mean)
 
 
@@ -396,7 +586,7 @@ def converged_steady_state(d: EffectiveDissipators, *, n_max: int = 120) -> Trun
     rungs = _truncation_ladder(n_max)
     for n in rungs[_predicted_rung(d, rungs) :]:
         try:
-            return steady_state(build_liouvillian(d, n))
+            return steady_state(coherence_blocks(d, n))
         except TruncationError:
             if n == rungs[-1]:
                 raise

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.random import Generator, Philox, SeedSequence
 from numpy.typing import NDArray
 
 from .dynamics import Spectrum
@@ -86,9 +87,7 @@ def synthesize(s: Spectrum, nm: NoiseModel, *, stream: int = 0) -> NoisySpectrum
     ``stream`` selects an independent substream of the seeded generator so
     several spectra in one run stay uncorrelated yet reproducible.
     """
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=nm.seed, spawn_key=(stream,)))
-    )
+    rng = Generator(Philox(SeedSequence(entropy=nm.seed, spawn_key=(stream,))))
     mean = s.flux + nm.floor
     df = 2.0 * nm.averages
     samples = mean * rng.chisquare(df, size=mean.shape) / df

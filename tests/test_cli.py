@@ -386,28 +386,53 @@ class TestScenarioRequirements:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
-# Imports the package the way the console script does, runs a sweep, and
-# prints the exit code and every scipy.optimize module then loaded.
-_IMPORT_PROBE = """
-import json, sys
+def _scipy_modules_after(script, *args):
+    """Run ``script`` in a fresh interpreter; its last stdout line is JSON.
+
+    The script's own result comes back together with every scipy module
+    loaded when it ended.
+    """
+    src = str(Path(twotone.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    epilogue = '\nprint(json.dumps([result, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))\n'
+    done = subprocess.run(
+        [sys.executable, "-c", "import json, sys\n" + script + epilogue, *map(str, args)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+# Imports the package the way the console script does and runs a sweep.
+_RUN_PROBE = """
 import twotone, twotone.cli, twotone.scenarios
-code = twotone.cli.main(["run", "--config", sys.argv[1], "--out", sys.argv[2]])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("scipy.optimize"))]))
+result = twotone.cli.main(["run", "--config", sys.argv[1], "--out", sys.argv[2]])
+"""
+
+# The library calls of the three-way referee on one resonant drive set.
+_CROSSVAL_PROBE = """
+import math
+from twotone import dynamics, oracle
+from twotone.config import bundled_config_path, load_config
+from twotone.sysmodel import DriveSet, drive_pair
+cfg, _, _ = load_config(bundled_config_path("paper_device.json"))
+rate = 300.0 * cfg.mech.gamma
+ds = DriveSet(drive_pair(2, rate, 0.1 * rate) + drive_pair(1, 0.1 * rate, 0.1 * rate, angle=0.5))
+lyap = dynamics.mechanical_marginal(dynamics.steady_covariance(dynamics.build_linear_model(cfg, ds)))
+state = oracle.converged_steady_state(oracle.EffectiveDissipators.from_drives(cfg.mech, ds))
+exact = oracle.quad_variance(state, 0.0), oracle.quad_variance(state, math.pi / 2.0)
+result = [state.n_trunc, abs(exact[0] / lyap.v1 - 1.0) < 0.01, abs(exact[1] / lyap.v2 - 1.0) < 0.01]
 """
 
 
 class TestImports:
-    def test_run_loads_no_scipy_optimize(self, tmp_path):
+    def test_run_loads_no_scipy(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(bundled_document("backaction_sweep.json", ratios=[0.1, 2.44])))
-        src = str(Path(twotone.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run(
-            [sys.executable, "-c", _IMPORT_PROBE, str(config), str(tmp_path / "out")],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
-        assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout.splitlines()[-1]) == [0, []]
+        assert _scipy_modules_after(_RUN_PROBE, config, tmp_path / "out") == [0, []]
+
+    def test_crossval_loads_no_scipy(self):
+        assert _scipy_modules_after(_CROSSVAL_PROBE) == [[18, True, True], []]

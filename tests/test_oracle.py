@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.sparse.linalg import norm, splu
 
 from conftest import LADDER_CASES, device_drives, sample_truncation_estimate
@@ -374,8 +375,8 @@ class TestSectorSolve:
 
     @pytest.mark.parametrize("seed", [4, 5, 6, 7, 8, 10])
     def test_kernel_hidden_from_the_row_swap_detected(self, seed):
-        # without the pivot check these seeds returned the block-A state
-        with pytest.raises(NumericalError, match="pivot ratio"):
+        # without the uniqueness check these seeds returned the block-A state
+        with pytest.raises(NumericalError, match="singular value ratio"):
             steady_state(drained_two_block_generator(seed))
 
     @pytest.mark.parametrize("scale", [1e-9, 1e9])
@@ -396,16 +397,68 @@ class TestSectorSolve:
         with pytest.raises(DomainError, match="parity"):
             steady_state((build_liouvillian(d, n) + drive).tocsr())
 
-    def test_one_factorization_per_solve(self, mech, monkeypatch):
-        calls = []
+    @pytest.mark.parametrize("g_minus, plus_ratio, meas_ratio, angle, n_trunc", LADDER_CASES)
+    def test_moment_built_solve_makes_no_sparse_factorization(
+        self, mech, monkeypatch, g_minus, plus_ratio, meas_ratio, angle, n_trunc
+    ):
+        import scipy.sparse.linalg as spla
 
-        def spy(mat):
-            calls.append(mat.shape)
-            return splu(mat)
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the moment-built solve reached a sparse routine")
 
-        monkeypatch.setattr(oracle, "splu", spy)
-        steady_state(build_liouvillian(device_dissipators(mech, 300.0, 0.1, 0.1, 0.5), 18))
-        assert calls == [(162, 162)]  # the even sector of N = 18: 18^2 / 2 unknowns
+        d = device_dissipators(mech, g_minus, plus_ratio, meas_ratio, angle)
+        with monkeypatch.context() as patch:
+            for name in ("splu", "spilu", "spsolve", "factorized"):
+                patch.setattr(spla, name, forbidden)
+            patch.setattr(oracle, "_generator_blocks", forbidden)
+            state = steady_state(oracle.coherence_blocks(d, n_trunc))
+        reference = steady_state(build_liouvillian(d, n_trunc))
+        np.testing.assert_allclose(state.rho, reference.rho, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "g_minus, plus_ratio, meas_ratio, angle, n_trunc",
+        LADDER_CASES + [(300.0, 0.1, 0.4, 0.7, 2), (300.0, 0.1, 0.4, 0.7, 3)],
+    )
+    def test_moment_blocks_match_the_converted_generator(
+        self, mech, g_minus, plus_ratio, meas_ratio, angle, n_trunc
+    ):
+        d = device_dissipators(mech, g_minus, plus_ratio, meas_ratio, angle)
+        built = oracle.coherence_blocks(d, n_trunc)
+        converted = oracle._generator_blocks(build_liouvillian(d, n_trunc))
+        assert built.shape == converted.shape == (n_trunc**2, n_trunc**2)
+        assert len(built.diagonal) == len(converted.diagonal) == (n_trunc + 1) // 2
+        for ours, theirs in zip(built.diagonal, converted.diagonal):
+            np.testing.assert_allclose(ours, theirs, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(built.up, converted.up, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(built.down, converted.down, rtol=1e-14, atol=0.0)
+        assert built.norm == pytest.approx(converted.norm, rel=1e-14)
+
+    @pytest.mark.parametrize("detuning", [0.5, -3.0])
+    def test_detuned_bath_agrees(self, detuning):
+        # -i [delta b+b, rho] puts -i delta d on the diagonal of order d, so the
+        # order-0 Schur complement takes a complex part from each side
+        n = 16
+        d = EffectiveDissipators(
+            gamma_m=1.0, n_thermal=0.3, engineered=((3.0, 1.2 * np.exp(0.4j)),)
+        )
+        index = np.arange(n * n)
+        order = index % n - index // n
+        lv = (build_liouvillian(d, n) + sp.diags(-1j * detuning * order)).tocsr()
+        reference = two_factorization_steady_state(lv)
+        np.testing.assert_allclose(steady_state(lv).rho, reference.rho, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("defect", ["not_hermiticity_preserving", "order_step_of_four"])
+    def test_generator_without_the_block_structure_rejected(self, defect):
+        n = 6
+        lv = build_liouvillian(
+            EffectiveDissipators(gamma_m=1.0, n_thermal=0.5, engineered=((2.0, 0.5j),)), n
+        ).tolil()
+        if defect == "not_hermiticity_preserving":
+            lv[1 + 3 * n, 2 + 4 * n] *= 1j  # rho[1, 3] <- rho[2, 4], but not its mirror
+        else:
+            lv[0, 4] = lv[0, 4 * n] = 0.1  # rho[0, 0] <- rho[4, 0] and rho[0, 4]: d = 0 <- +-4
+        with pytest.raises(DomainError, match="parity"):
+            steady_state(lv.tocsr())
 
     @pytest.mark.parametrize("g_minus, plus_ratio, meas_ratio, angle, n_trunc", LADDER_CASES[:5])
     def test_odd_block_is_well_conditioned(
@@ -465,6 +518,31 @@ class TestQuadVariance:
         d = EffectiveDissipators(gamma_m=1.0, n_thermal=1.0)
         state = steady_state(build_liouvillian(d, 40))
         assert quad_variance(state, 1.1) == pytest.approx(3.0, abs=1e-7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=30),
+    phi=st.floats(min_value=-2.0 * math.pi, max_value=2.0 * math.pi),
+    even_only=st.booleans(),
+    data=st.data(),
+)
+def test_quad_variance_matches_the_dense_trace(n, phi, even_only, data):
+    # random states G G+ / Tr, with the odd sector p + q odd zeroed or kept
+    parts = data.draw(arrays(np.float64, (2, n, n), elements=st.floats(-1.0, 1.0)))
+    g = parts[0] + 1j * parts[1]
+    rho = g @ g.conj().T
+    if even_only:
+        rho[np.add.outer(np.arange(n), np.arange(n)) % 2 == 1] = 0.0
+    trace = np.trace(rho).real
+    if trace < 1e-3:
+        return
+    state = TruncatedState(rho=rho / trace, n_trunc=n)
+    b = _lowering(n).toarray()
+    x = b * np.exp(-1j * phi) + b.conj().T * np.exp(1j * phi)
+    mean = np.trace(state.rho @ x).real
+    expected = np.trace(state.rho @ x @ x).real - mean * mean
+    assert quad_variance(state, phi) == pytest.approx(expected, rel=1e-12, abs=1e-12 * n)
 
 
 class TestAgainstClosedForm:
