@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from twotone.dynamics import (
     write_spectrum_csv,
 )
 from twotone.config import bundled_config_path, load_config
-from twotone.dynamics import _solve_frame_shifts
-from twotone.errors import DomainError, InstabilityError
+from twotone.dynamics import Spectrum, _resolvent_solve, _solve_frame_shifts
+from twotone.errors import DomainError, InstabilityError, NumericalError
 from twotone.sysmodel import LOWER, UPPER, Cavity, Drive, DriveSet, SystemConfig, drive_pair
 
 TWO_PI = 2.0 * math.pi
@@ -342,13 +343,18 @@ class TestOutputSpectrum:
 
     def test_spectrum_validation(self):
         with pytest.raises(DomainError):
-            from twotone.dynamics import Spectrum
-
             Spectrum(freq=np.array([0.0, -1.0]), flux=np.array([1.0, 1.0]))
         with pytest.raises(DomainError):
-            from twotone.dynamics import Spectrum
-
             Spectrum(freq=np.array([0.0, 1.0]), flux=np.array([-1.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", ["freq", "flux"])
+    def test_spectrum_rejects_non_finite(self, column, bad):
+        # nan passes both the ordering and the sign check on its own
+        values = {"freq": np.array([0.0, 1.0, 2.0]), "flux": np.array([1.0, 1.0, 1.0])}
+        values[column][2] = bad
+        with pytest.raises(DomainError, match="finite"):
+            Spectrum(**values)
 
     def test_csv_round_trip(self, cfg, cooling_529, tmp_path):
         model = build_linear_model(cfg, cooling_529)
@@ -444,12 +450,77 @@ class TestBatchedResolvent:
         spectrum = output_spectrum(model, 1, grid)
         np.testing.assert_allclose(spectrum.flux, looped_flux(model, 1, grid), rtol=1e-13)
 
+    @pytest.mark.parametrize("entry", [output_spectrum, driven_response], ids=lambda f: f.__name__)
+    def test_no_per_frequency_loop(self, model, entry):
+        # the number of Python and C calls made inside must not grow with the grid
+        def calls(points):
+            grid = spectrum_grid(model.cfg, model.ds, points=points)
+            args = (model, 1, grid) if entry is output_spectrum else (model.cfg, model.ds, 1, grid)
+            entry(*args)
+            count = 0
+
+            def profile(frame, event, arg):
+                nonlocal count
+                count += event in ("call", "c_call")
+
+            sys.setprofile(profile)
+            try:
+                entry(*args)
+            finally:
+                sys.setprofile(None)
+            return count
+
+        assert calls(11) == calls(4001)
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_pivots_on_the_larger_candidate(self, adjoint):
+        # at w = 0 the first diagonal pivot is 1e-13 against a sub-diagonal 1:
+        # eliminating without the row swap loses ten digits of the solution
+        drift = -np.eye(6, dtype=complex)
+        drift[:2, :2] = [[-1e-13, -1.0], [1.0, -1.0]]
+        if adjoint:
+            drift = drift.T.copy()
+        x, q = _resolvent_solve(drift, np.array([0.0]), 0, adjoint=adjoint)
+        expected = np.linalg.solve(-(drift.T if adjoint else drift), np.eye(6)[0])
+        np.testing.assert_allclose(q @ x[:, 0], expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("zero", [0, 3, 5])
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_singular_resolvent_raises(self, zero, adjoint):
+        # -i w I - C is singular at w = 0 when C has a zero eigenvalue
+        drift = -np.eye(6, dtype=complex)
+        drift[zero, zero] = 0.0
+        with pytest.raises(NumericalError, match="singular"):
+            _resolvent_solve(drift, np.array([1.0, 0.0]), 0, adjoint=adjoint)
+
     def test_detuned_pair_has_frame_shift(self, cfg, mech):
         from conftest import qnd_config
 
         model = build_linear_model(cfg, qnd_config(mech, 1.0, detuning=TWO_PI * 5e4))
         assert model.frame_shifts[2] != 0.0
         assert np.linalg.cond(np.linalg.eig(model.complex_drift)[1]) > 1e5
+
+
+BAD_GRIDS = {
+    "empty": np.array([]),
+    "nan": np.array([-1.0, math.nan, 1.0]),
+    "inf": np.array([-1.0, 0.0, math.inf]),
+    "two_dimensional": np.zeros((2, 3)),
+}
+
+
+class TestGridValidation:
+    """Both frequency-response entry points reject a grid they cannot evaluate."""
+
+    @pytest.mark.parametrize("grid", BAD_GRIDS.values(), ids=BAD_GRIDS)
+    def test_output_spectrum_rejects(self, cfg, cooling_529, grid):
+        with pytest.raises(DomainError, match="frequency grid"):
+            output_spectrum(build_linear_model(cfg, cooling_529), 2, grid)
+
+    @pytest.mark.parametrize("grid", BAD_GRIDS.values(), ids=BAD_GRIDS)
+    def test_driven_response_rejects(self, cfg, cooling_529, grid):
+        with pytest.raises(DomainError, match="frequency grid"):
+            driven_response(cfg, cooling_529, 2, grid)
 
 
 class TestDrivenResponse:

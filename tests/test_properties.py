@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twotone.analytic import quadrature_variances, variance_of_phase
-from twotone.dynamics import build_linear_model, mechanical_marginal, steady_covariance
+from twotone.dynamics import (
+    _resolvent_solve,
+    build_linear_model,
+    mechanical_marginal,
+    steady_covariance,
+)
 from twotone.oracle import EffectiveDissipators, build_liouvillian, gaussian_covariance
 from twotone.sysmodel import DriveSet, drive_pair
 
@@ -106,3 +111,42 @@ def test_lyapunov_covariance_is_physical(cfg, drives):
     # V + iJ >= 0: the uncertainty principle for all three modes at once
     ds = device_drive_set(cfg.mech, *drives)
     assert steady_covariance(build_linear_model(cfg, ds)).is_physical()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    structure=st.sampled_from(["dense", "reducible", "undriven"]),
+    index=st.integers(min_value=0, max_value=5),
+    adjoint=st.booleans(),
+    points=st.integers(min_value=1, max_value=50),
+    log_span=st.floats(min_value=-2.0, max_value=2.0),
+)
+def test_resolvent_solve_matches_per_frequency_solve(
+    cfg, seed, structure, index, adjoint, points, log_span
+):
+    # The grid reaches from well inside the spectrum, where the sub-diagonal
+    # entry is the larger pivot candidate, to far outside, where the diagonal is.
+    rng = np.random.default_rng(seed)
+    if structure == "undriven":
+        # diagonal: every sub-diagonal entry of its Hessenberg form is zero
+        c = build_linear_model(cfg, DriveSet()).complex_drift
+    else:
+        c = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        if structure == "reducible":
+            # the solved matrix maps the coordinates in `block`, `index` among
+            # them, into themselves, which forces a zero onto the sub-diagonal
+            block = np.zeros(6, dtype=bool)
+            block[rng.permutation(6)[: rng.integers(1, 6)]] = True
+            block[index] = True
+            (c.T if adjoint else c)[np.ix_(~block, block)] = 0.0
+        c -= (np.linalg.eigvals(c).real.max() + 0.5) * np.eye(6)
+    w = 10.0**log_span * np.max(np.abs(c)) * rng.uniform(-1.0, 1.0, points)
+
+    x, q = _resolvent_solve(c, w, index, adjoint=adjoint)
+    solved = c.T if adjoint else c
+    expected = np.array([np.linalg.solve(-1j * f * np.eye(6) - solved, np.eye(6)[index]) for f in w])
+    got = (q @ x).T
+    scale = np.max(np.abs(expected), axis=1, keepdims=True)
+    assert np.max(np.abs(got - expected) / scale) <= 1e-12
+    np.testing.assert_array_equal(q[index], np.eye(6)[0])
