@@ -567,6 +567,12 @@ def transparency_window_fwhm(cfg: SystemConfig, ds: DriveSet, probe_cavity: int)
     background, S(w) = c0 + c1 w + D / (-i (w - w0) + fwhm / 2). The fitted
     pole width is the window's FWHM; in the weak-coupling limit it equals
     the total mechanical damping gamma_m + sum(gamma_minus - gamma_plus).
+
+    The fit determines the FWHM to about 1e-9 relative only. On some drive
+    sets the Levenberg-Marquardt iteration stops at one of two points up to
+    6e-10 apart whose chi^2 agree to one ulp, and rounding-level noise in
+    S11 decides which, so a tighter tolerance on the result measures the
+    fit's stopping rule, not the physics.
     """
     width_guess = abs(effective_linewidth(cfg, ds))
     grid = np.linspace(-_WINDOW_SPAN * width_guess, _WINDOW_SPAN * width_guess, _WINDOW_POINTS)

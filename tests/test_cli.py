@@ -240,6 +240,7 @@ class TestExitCodes:
             ("backaction_sweep.json", 2),
             ("backaction_sweep.json", 3),
             ("backaction_sweep.json", 5),
+            ("backaction_sweep.json", 9),
             ("squeeze_sweep.json", 2),
             ("tomography.json", 2),
         ],
@@ -249,6 +250,8 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "numerical failure: fit needs more than 3 samples" in err
         assert "Traceback" not in err
+        # each measurement is fitted before its spectrum is written
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["manifest.json"]
 
     def test_negative_tomogram_exits_four(self, tmp_path, capsys):
         # a schema-valid grid whose noisy variances fit to a negative moment
@@ -436,3 +439,8 @@ class TestImports:
 
     def test_crossval_loads_no_scipy(self):
         assert _scipy_modules_after(_CROSSVAL_PROBE) == [[18, True, True], []]
+
+    def test_import_leaves_the_table_kernel_unloaded(self):
+        # the first table written compiles the kernel, not `import twotone`
+        probe = "import twotone, twotone.cli, twotone.scenarios\nresult = 'twotone._fields' in sys.modules"
+        assert _scipy_modules_after(probe) == [False, []]

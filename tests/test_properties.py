@@ -1,6 +1,7 @@
 """Property-based checks of invariants over random inputs."""
 
 import math
+import struct
 
 import numpy as np
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from twotone.dynamics import (
 )
 from twotone.oracle import EffectiveDissipators, build_liouvillian, gaussian_covariance
 from twotone.sysmodel import DriveSet, drive_pair
+from twotone.tables import write_csv
 
 coefficient = st.complex_numbers(max_magnitude=30.0, allow_nan=False, allow_infinity=False)
 
@@ -150,3 +152,31 @@ def test_resolvent_solve_matches_per_frequency_solve(
     scale = np.max(np.abs(expected), axis=1, keepdims=True)
     assert np.max(np.abs(got - expected) / scale) <= 1e-12
     np.testing.assert_array_equal(q[index], np.eye(6)[0])
+
+
+# any 64-bit pattern: +-0, subnormals, nan payloads and +-inf occur as well
+raw_double = st.integers(min_value=0, max_value=2**64 - 1).map(
+    lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]
+)
+# any mantissa, binary exponents of about 1e-280 to 1e280
+scaled_double = st.builds(
+    lambda mantissa, exponent, sign: sign * math.ldexp(1.0 + mantissa / 2**52, exponent),
+    st.integers(min_value=0, max_value=2**52 - 1),
+    st.integers(min_value=-930, max_value=930),
+    st.sampled_from([1.0, -1.0]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(st.one_of(raw_double, scaled_double, st.floats()), min_size=1, max_size=120),
+    columns=st.integers(min_value=1, max_value=4),
+)
+def test_csv_fields_are_percent_17g(tmp_path_factory, values, columns):
+    columns = min(columns, len(values))
+    table = np.array(values[: len(values) // columns * columns]).reshape(-1, columns)
+    path = tmp_path_factory.getbasetemp() / "fields.csv"
+    write_csv(path, [f"c{j}" for j in range(columns)], table.T, [("rows", len(table))])
+    lines = path.read_text().split("\n")
+    assert lines[:2] == [f"# rows: {len(table)}", ",".join(f"c{j}" for j in range(columns))]
+    assert lines[2:] == [",".join("%.17g" % v for v in row) for row in table.tolist()] + [""]

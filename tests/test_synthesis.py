@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,38 @@ from twotone.synthesis import (
     synthesize,
     write_noisy_csv,
 )
+from twotone.tables import write_csv
+
+
+def around(value):
+    """The double nearest ``value`` (a decimal string) and its two neighbours."""
+    x = float(value)
+    return [np.nextafter(x, -math.inf), x, np.nextafter(x, math.inf)]
+
+
+# The doubles nearest 10^k for these k lie below it, yet print at 17 digits as
+# 1e+k: they round up into the next decade. No other double does, as no other
+# lies within half a unit of the 17th digit below a power of ten.
+NEXT_DECADE_K = (-305, -243, -176, -175, -174, -79, -78, -73, -70, -14, 98, 129, 153, 220)
+NEXT_DECADE = [float(f"1e{k}") for k in NEXT_DECADE_K]
+
+# Values whose %.17g text is easy to get wrong; the corpus also holds each negative.
+HARD_CASES = {
+    # exact decimal ties, rounded half to even: 1.00000762939453125 down, ...375 up
+    "ties": [1 + 2**-17, 1 + 3 * 2**-17, 9 + 2**-17, 1e15 + 0.25, 1e15 + 0.75],
+    "powers_of_ten": [v for k in range(-300, 301) for v in around(f"1e{k}")],
+    "fixed_to_exponent": [1e-5, np.nextafter(1e-4, 0), 1e-4, 1e16, np.nextafter(1e17, 0), 1e17],
+    "next_decade": NEXT_DECADE,
+    "three_digit_exponents": [
+        1.2345678901234567e-100,
+        9.87654321e123,
+        *around("1e-280"),
+        *around("1e280"),
+        2.2250738585072014e-308,
+        1.7976931348623157e308,
+        5e-324,
+    ],
+}
 
 
 @pytest.fixture()
@@ -149,3 +182,30 @@ class TestGoldenBytes:
         ]
         assert rows == expected
         assert {"-0", "4.9406564584124654e-324"} <= {x for r in rows for x in r}
+
+    @pytest.mark.parametrize("case", sorted(HARD_CASES))
+    def test_hard_case_fields(self, tmp_path, case):
+        values = np.array(HARD_CASES[case])
+        values = np.concatenate([values, -values])
+        path = tmp_path / "hard.csv"
+        write_csv(path, ("x", "y"), (values, values[::-1]))
+        rows = self.data_fields(path, "x,y")
+        assert rows == [["%.17g" % x, "%.17g" % y] for x, y in zip(values, values[::-1])]
+
+    def test_hard_cases_hold_what_they_name(self):
+        assert "%.17g" % HARD_CASES["ties"][0] == "1.0000076293945312"
+        assert "%.17g" % HARD_CASES["ties"][1] == "1.0000228881835938"
+        for x in HARD_CASES["ties"]:
+            exponent = int(("%.16e" % x).split("e")[1])
+            assert Fraction(x) * Fraction(10) ** (16 - exponent) % 1 == Fraction(1, 2)
+        for k, x in zip(NEXT_DECADE_K, NEXT_DECADE):
+            assert Fraction(x) < Fraction(10) ** k
+            assert "%.17g" % x == "%.0e" % x
+        assert ["%.17g" % x for x in HARD_CASES["fixed_to_exponent"]] == [
+            "1.0000000000000001e-05",
+            "9.9999999999999991e-05",
+            "0.0001",
+            "10000000000000000",
+            "99999999999999984",
+            "1e+17",
+        ]
