@@ -25,6 +25,13 @@ def _split(a):
     return high, a - high
 
 
+# the text of i = 0000..9999 as one little-endian uint32 word, and its trailing zeros
+_PLACES = np.stack(np.unravel_index(np.arange(10000), (10, 10, 10, 10)), axis=1)
+_ASCII4 = (_PLACES + ord("0")).astype(np.uint8).view("<u4")[:, 0]
+_ZEROS4 = np.cumprod(_PLACES[:, ::-1] == 0, axis=1).sum(axis=1).astype(np.int16)
+del _PLACES
+
+
 def kernel_tables(table: np.ndarray) -> tuple:
     """The lookup tables the kernel shares across the row blocks of ``table``.
 
@@ -34,9 +41,7 @@ def kernel_tables(table: np.ndarray) -> tuple:
     ``powers`` is (hi, hi_high, hi_low, lo) of 10^(16 - X): hi correctly
     rounded, (hi_high, hi_low) its Dekker split and lo the rounded rest, all
     from exact integers. ``lengths[(X - low) * 18 + n]`` is the length of a
-    field of n significant digits, the sign column included. ``ascii4[i]``
-    is the text of i = 0000..9999 as one little-endian uint32 word and
-    ``zeros4[i]`` its trailing zeros.
+    field of n significant digits, the sign column included.
     """
     a = np.abs(table.ravel())
     a = a[_in_range(a)]
@@ -57,16 +62,10 @@ def kernel_tables(table: np.ndarray) -> tuple:
         n + (n > 1) + 5 + (np.abs(x) >= 100),  # d.ddde+xx
         np.where(x < 0, 2 - x + n, np.where(n > x + 1, n + 2, x + 2)),  # 0.000ddd, ddd.ddd
     )
-
-    places = np.stack(np.unravel_index(np.arange(10000), (10, 10, 10, 10)), axis=1)
-    zeros4 = np.zeros(10000, np.int16)
-    for step in (10, 100, 1000, 10000):
-        zeros4[::step] += 1
-    ascii4 = (places + ord("0")).astype(np.uint8).view("<u4")[:, 0]
-    return low, powers, lengths.astype(np.int16).ravel(), ascii4, zeros4
+    return low, powers, lengths.astype(np.int16).ravel()
 
 
-def format_rows(table, low, powers, lengths, ascii4, zeros4) -> bytes:
+def format_rows(table, low, powers, lengths) -> bytes:
     """CSV lines of a 2-d float table: ``%.17g`` fields, ``,`` and newline separated."""
     rows, cols = table.shape
     x = table.ravel()
@@ -108,14 +107,14 @@ def format_rows(table, low, powers, lengths, ascii4, zeros4) -> bytes:
     words = np.empty((count, 5), "<u4")
     words[:, 0] = (lead.astype(np.uint32) + ord("0")) << 24
     for j, g in enumerate(groups, 1):
-        words[:, j] = ascii4[g]
+        words[:, j] = _ASCII4[g]
     digits = words.view(np.uint8)[:, 3:]
-    trailing = zeros4[groups[3]]
+    trailing = _ZEROS4[groups[3]]
     for j in (2, 1, 0):  # rare: a zero group, and the zeros run on
         more = np.flatnonzero(trailing == 4 * (3 - j))
         if not more.size:
             break
-        trailing[more] += zeros4[groups[j][more]]
+        trailing[more] += _ZEROS4[groups[j][more]]
 
     # column 0 holds a "-" that only negative fields keep; a field ends at `length`
     length = np.take(lengths, key * 18 + 17 - trailing, mode="clip")  # guarded: set below

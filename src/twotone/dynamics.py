@@ -7,10 +7,13 @@ mechanics. The six quadratures (X_a1, P_a1, X_a2, P_a2, X_b, P_b) then obey
 linear Langevin equations du/dt = A u + noise; the steady-state covariance
 solves the Lyapunov equation A V + V A^T + D = 0 and emitted spectra follow
 from input-output theory on the frequency-domain transfer matrix. Spectra
-and the probe response come from the resolvent (-i w I - C)^-1: the drift
-is reduced once to upper Hessenberg form, after which every frequency of
-the grid costs one O(n^2) Hessenberg solve, all of them vectorized
-together (Laub, IEEE Trans. Autom. Control 26, 407 (1981)).
+and the probe response come from the resolvent (-i w I - C)^-1. The two
+cavities couple only through the mechanics, so their block of the
+resolvent is diagonal and is eliminated exactly: what is left at each
+frequency is one 2 x 2 solve for the dressed mechanical susceptibility,
+whose Schur complement is the optomechanical self-energy (Aspelmeyer,
+Kippenberg & Marquardt, Rev. Mod. Phys. 86, 1391 (2014)). The whole grid
+is solved at once.
 
 Tone detunings are absorbed into a co-rotating frame: the mechanical frame
 may shift by s_b and each cavity frame by s_j, which turns symmetric pair
@@ -367,97 +370,70 @@ def _frequency_grid(grid) -> NDArray[np.float64]:
     return grid
 
 
-def _hessenberg(c: NDArray) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
-    """Householder reduction c = q h q^H to upper Hessenberg h, with q e_0 = e_0.
-
-    Each step first swaps the column's largest entry below the diagonal onto
-    the sub-diagonal, so its reflector mixes only the rows the column reaches:
-    none when it reaches one, as in a sparse physical drift, and a column
-    already in Hessenberg form keeps its exact zeros.
-    """
-    h = np.array(c, dtype=complex)
-    n = h.shape[0]
-    q = np.eye(n, dtype=complex)
-    for k in range(n - 2):
-        j = k + 1 + int(np.argmax(np.abs(h[k + 1 :, k])))
-        if j != k + 1:
-            h[[k + 1, j]] = h[[j, k + 1]]
-            h[:, [k + 1, j]] = h[:, [j, k + 1]]
-            q[:, [k + 1, j]] = q[:, [j, k + 1]]
-        a = h[k + 1 :, k]
-        if not a[1:].any():
-            continue
-        head = abs(a[0])
-        norm = np.sqrt(np.vdot(a, a).real)
-        # the reflector I - v v^H / (norm (norm + |a_0|)) maps a onto -phase(a_0) norm e_0
-        v = a.copy()
-        v[0] += norm * (a[0] / head if head else 1.0)
-        p = np.eye(n, dtype=complex)
-        p[k + 1 :, k + 1 :] -= v[:, None] * (v.conj() / (norm * (norm + head)))
-        h = p @ h @ p
-        h[k + 2 :, k] = 0.0
-        q = q @ p
-    return h, q
-
-
 def _resolvent_solve(
     c: NDArray, w: NDArray, index: int, *, adjoint: bool
-) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
+) -> NDArray[np.complex128]:
     """Resolvent column ``index`` of (-i w I - c) at every frame frequency w.
 
-    Returns ``(x, q)``: the column at grid point f is ``q @ x[:, f]``, with
-    ``x`` of shape (6, n_freq). With ``adjoint`` the transposed systems are
-    solved, giving the resolvent row instead. Index ``index`` is permuted
-    to the front before c (or c^T) is reduced to Hessenberg form
-    h = q^H c q, so the right-hand side stays e_0 and row ``index`` of ``q``
-    is e_0: the (index, index) entry of the resolvent is ``x[0]``.
-
-    The system (s I - h) x = e_0, s = -i w, is eliminated column by column
-    with partial pivoting between the carried row and the next row of
-    s I - h, which differs from -h only on its diagonal; back substitution
-    follows. Both run over the whole grid at once.
+    Returns x of shape (6, n_freq), the column at each grid point. With
+    ``adjoint`` the transposed systems are solved, giving the resolvent row
+    instead. The four cavity modes couple only through the mechanics, so
+    with M = c (or c^T) and s = -i w the cavity block of s I - M is the
+    diagonal 1 / u, u = 1 / (s - diag M_cc), and eliminating it leaves the
+    2 x 2 dressed mechanical system S x_m = r with
+    S = s I - M_mm - M_mc diag(u) M_cm, the optomechanical self-energy
+    subtracted. That system is solved with partial pivoting, and the cavity
+    rows follow as x_c = u (e_c + M_cm x_m), all over the whole grid at once.
 
     Raises
     ------
+    DomainError
+        If two cavity modes of c couple directly.
     NumericalError
-        If a pivot is zero: -i w I - c is singular at some grid point.
+        If -i w I - c is singular at some grid point: a cavity gap s - M_kk
+        or a pivot of S is zero.
     """
-    n = c.shape[0]
-    order = [index] + [i for i in range(n) if i != index]
-    h, q_front = _hessenberg((c.T if adjoint else c)[np.ix_(order, order)])
-    q = np.empty_like(q_front)
-    q[order] = q_front
+    m = c.T if adjoint else c
+    d = np.diagonal(m)[:4]
+    if np.count_nonzero(m[:4, :4]) > np.count_nonzero(d):
+        raise DomainError("the cavity modes of the drift must couple only through the mechanics")
     s = -1j * w
-    # the augmented matrix [s I - h | e_0] is [-h | e_0] with s added on its diagonal
-    a = np.zeros((n, n + 1), dtype=complex)
-    a[:, :n] = -h
-    a[0, n] = 1.0
-    carried = np.empty((n + 1, s.size), dtype=complex)
-    carried[:] = a[0, :, None]
-    carried[0] += s
-    upper_rows = []
-    for k in range(n - 1):
-        sub = a[k + 1, k]
-        diag = a[k + 1, k + 1] + s
-        swap = np.abs(carried[0]) < abs(sub)
-        upper = np.where(swap, a[k + 1, k:, None], carried)
-        np.copyto(upper[1], diag, where=swap)
-        # with sub != 0 the chosen pivot is never zero
-        if sub == 0 and not upper[0].all():
-            raise NumericalError("the resolvent is singular on the frequency grid")
-        lower = np.where(swap, carried[1:], a[k + 1, k + 1 :, None])
-        np.copyto(lower[0], diag, where=~swap)
-        lower -= np.where(swap, carried[0], sub) / upper[0] * upper[1:]
-        upper_rows.append(upper)
-        carried = lower
-    if not carried[0].all():
+    u = s - d[:, None]
+    # s is imaginary, so a gap can vanish only on a diagonal entry without damping
+    if not (d.real.all() or u.all()):
         raise NumericalError("the resolvent is singular on the frequency grid")
-    upper_rows.append(carried)
-    x = np.empty((n, s.size), dtype=complex)
-    for k in range(n - 1, -1, -1):
-        u = upper_rows[k]
-        x[k] = (u[-1] - (u[1:-1] * x[k + 1 :]).sum(axis=0)) / u[0]
-    return x, q
+    u = 1.0 / u
+    to_mech, from_mech = m[4:, :4], m[:4, 4:]
+    # S as rows (S_00, S_01, S_10, S_11): minus the self-energy is one product
+    # with u, added to the bare mechanical gaps s - M_bb, which near resonance
+    # are far smaller than s
+    loops = -(to_mech[:, None, :] * from_mech.T[None, :, :]).reshape(4, 4)
+    sch = loops @ u
+    sch[0] += s - m[4, 4]
+    sch[1] -= m[4, 5]
+    sch[2] -= m[5, 4]
+    sch[3] += s - m[5, 5]
+    if index < 4:
+        rhs = to_mech[:, index, None] * u[index]
+    else:
+        rhs = np.eye(2)[index - 4, :, None]
+    swap = np.abs(sch[2]) > np.abs(sch[0])
+    top = np.where(swap, sch[2:], sch[:2])
+    bottom = np.where(swap, sch[:2], sch[2:])
+    r_top = np.where(swap, rhs[1], rhs[0])
+    r_bottom = np.where(swap, rhs[0], rhs[1])
+    factor = bottom[0] / top[0]
+    pivot = bottom[1] - factor * top[1]
+    if not (top[0].all() and pivot.all()):
+        raise NumericalError("the resolvent is singular on the frequency grid")
+    x = np.empty((6, s.size), dtype=complex)
+    x[5] = (r_bottom - factor * r_top) / pivot
+    x[4] = (r_top - top[1] * x[5]) / top[0]
+    x[:4] = from_mech @ x[4:]
+    if index < 4:
+        x[index] += 1.0
+    x[:4] *= u
+    return x
 
 
 def output_spectrum(
@@ -510,12 +486,12 @@ def output_spectrum(
     ext_col = next(
         2 * k for k, ch in enumerate(m.channels) if ch.label == f"cav{cavity_index}_ext"
     )
-    # the resolvent row reaching the output mode (an adjoint solve) is q x, so
-    # q is folded into the noise inputs once rather than applied per frequency
-    x, q = _resolvent_solve(m.complex_drift, grid - shift, 2 * (cavity_index - 1), adjoint=True)
-    r = np.sqrt(cav.kappa_ext) * (m.noise_input_matrix().T @ q @ x)
+    # the resolvent row reaching the output mode is an adjoint solve
+    x = _resolvent_solve(m.complex_drift, grid - shift, 2 * (cavity_index - 1), adjoint=True)
+    r = np.sqrt(cav.kappa_ext) * (m.noise_input_matrix().T @ x)
     r[ext_col] -= 1.0
-    flux = occ @ np.abs(r[0::2]) ** 2 + (occ + 1.0) @ np.abs(r[1::2]) ** 2
+    power = r.real**2 + r.imag**2
+    flux = occ @ power[0::2] + (occ + 1.0) @ power[1::2]
 
     meta = {
         "cavity": cavity_index,
@@ -550,8 +526,9 @@ def driven_response(
     if not m.is_stable:
         raise InstabilityError("cannot evaluate the driven response of an unstable model")
     w = _frequency_grid(probe_grid) - m.frame_shifts[probe_cavity - 1]
-    x, _ = _resolvent_solve(m.complex_drift, w, 2 * (probe_cavity - 1), adjoint=False)
-    return 1.0 - cfg.cavity(probe_cavity).kappa_ext * x[0]
+    index = 2 * (probe_cavity - 1)
+    x = _resolvent_solve(m.complex_drift, w, index, adjoint=False)
+    return 1.0 - cfg.cavity(probe_cavity).kappa_ext * x[index]
 
 
 # probe grid of the window fit: points, and half-span in effective linewidths

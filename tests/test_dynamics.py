@@ -437,12 +437,15 @@ class TestBatchedResolvent:
 
     def test_output_spectrum_reads_resolvent_row(self, cfg, mech):
         # the physical drift gives rows and columns of equal magnitude, so a
-        # generic drift is needed to tell the adjoint solve from the plain one
+        # generic drift is needed to tell the adjoint solve from the plain one;
+        # it is kicked only where a physical drift has entries, leaving the
+        # cavity modes coupled only through the mechanics
         from conftest import qnd_config
 
         model = build_linear_model(cfg, qnd_config(mech, 1.0, detuning=TWO_PI * 5e4))
         rng = np.random.default_rng(8)
         kick = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        kick[:4, :4] *= np.eye(4)
         model = dataclasses.replace(
             model, complex_drift=model.complex_drift + 300.0 * mech.gamma * kick
         )
@@ -474,15 +477,16 @@ class TestBatchedResolvent:
 
     @pytest.mark.parametrize("adjoint", [False, True])
     def test_pivots_on_the_larger_candidate(self, adjoint):
-        # at w = 0 the first diagonal pivot is 1e-13 against a sub-diagonal 1:
-        # eliminating without the row swap loses ten digits of the solution
+        # at w = 0 the first pivot of the 2 x 2 mechanical system is 1e-13
+        # against a 1 below it: eliminating without the row swap loses ten
+        # digits of the solution
         drift = -np.eye(6, dtype=complex)
-        drift[:2, :2] = [[-1e-13, -1.0], [1.0, -1.0]]
+        drift[4:, 4:] = [[-1e-13, -1.0], [1.0, -1.0]]
         if adjoint:
             drift = drift.T.copy()
-        x, q = _resolvent_solve(drift, np.array([0.0]), 0, adjoint=adjoint)
-        expected = np.linalg.solve(-(drift.T if adjoint else drift), np.eye(6)[0])
-        np.testing.assert_allclose(q @ x[:, 0], expected, rtol=1e-12, atol=0)
+        x = _resolvent_solve(drift, np.array([0.0]), 4, adjoint=adjoint)
+        expected = np.linalg.solve(-(drift.T if adjoint else drift), np.eye(6)[4])
+        np.testing.assert_allclose(x[:, 0], expected, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("zero", [0, 3, 5])
     @pytest.mark.parametrize("adjoint", [False, True])
@@ -492,6 +496,15 @@ class TestBatchedResolvent:
         drift[zero, zero] = 0.0
         with pytest.raises(NumericalError, match="singular"):
             _resolvent_solve(drift, np.array([1.0, 0.0]), 0, adjoint=adjoint)
+
+    @pytest.mark.parametrize("entry", [(0, 2), (3, 1), (0, 1)])
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_coupled_cavity_modes_raise(self, model, entry, adjoint):
+        # the elimination needs the cavity modes to meet only through the mechanics
+        drift = model.complex_drift.copy()
+        drift[entry] = 1.0
+        with pytest.raises(DomainError, match="only through the mechanics"):
+            _resolvent_solve(drift, np.array([0.0, 1.0]), 0, adjoint=adjoint)
 
     def test_detuned_pair_has_frame_shift(self, cfg, mech):
         from conftest import qnd_config

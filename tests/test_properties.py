@@ -12,6 +12,7 @@ from twotone.dynamics import (
     _resolvent_solve,
     build_linear_model,
     mechanical_marginal,
+    spectrum_grid,
     steady_covariance,
 )
 from twotone.oracle import EffectiveDissipators, build_liouvillian, gaussian_covariance
@@ -115,6 +116,15 @@ def test_lyapunov_covariance_is_physical(cfg, drives):
     assert steady_covariance(build_linear_model(cfg, ds)).is_physical()
 
 
+def assert_matches_per_frequency_solve(c, w, index, adjoint):
+    """The batched column matches np.linalg.solve to 1e-12 of each point's largest entry."""
+    got = _resolvent_solve(c, w, index, adjoint=adjoint).T
+    solved = c.T if adjoint else c
+    expected = np.array([np.linalg.solve(-1j * f * np.eye(6) - solved, np.eye(6)[index]) for f in w])
+    scale = np.max(np.abs(expected), axis=1, keepdims=True)
+    assert np.max(np.abs(got - expected) / scale) <= 1e-12
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -127,31 +137,44 @@ def test_lyapunov_covariance_is_physical(cfg, drives):
 def test_resolvent_solve_matches_per_frequency_solve(
     cfg, seed, structure, index, adjoint, points, log_span
 ):
-    # The grid reaches from well inside the spectrum, where the sub-diagonal
-    # entry is the larger pivot candidate, to far outside, where the diagonal is.
+    # The drift keeps the one structure the solver relies on, a diagonal
+    # cavity block, and is generic otherwise. The grid reaches from well
+    # inside the spectrum, where the pivot of the 2 x 2 mechanical system is
+    # the lower entry, to far outside, where it is the diagonal one.
     rng = np.random.default_rng(seed)
     if structure == "undriven":
-        # diagonal: every sub-diagonal entry of its Hessenberg form is zero
+        # diagonal: the mechanics and every cavity mode are decoupled
         c = build_linear_model(cfg, DriveSet()).complex_drift
     else:
         c = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        c[:4, :4] *= np.eye(4)
         if structure == "reducible":
             # the solved matrix maps the coordinates in `block`, `index` among
-            # them, into themselves, which forces a zero onto the sub-diagonal
+            # them, into themselves, so entries outside it are exactly zero
             block = np.zeros(6, dtype=bool)
             block[rng.permutation(6)[: rng.integers(1, 6)]] = True
             block[index] = True
             (c.T if adjoint else c)[np.ix_(~block, block)] = 0.0
         c -= (np.linalg.eigvals(c).real.max() + 0.5) * np.eye(6)
     w = 10.0**log_span * np.max(np.abs(c)) * rng.uniform(-1.0, 1.0, points)
+    assert_matches_per_frequency_solve(c, w, index, adjoint)
 
-    x, q = _resolvent_solve(c, w, index, adjoint=adjoint)
-    solved = c.T if adjoint else c
-    expected = np.array([np.linalg.solve(-1j * f * np.eye(6) - solved, np.eye(6)[index]) for f in w])
-    got = (q @ x).T
-    scale = np.max(np.abs(expected), axis=1, keepdims=True)
-    assert np.max(np.abs(got - expected) / scale) <= 1e-12
-    np.testing.assert_array_equal(q[index], np.eye(6)[0])
+
+@settings(max_examples=60, deadline=None)
+@given(
+    drives=resonant_pairs,
+    index=st.integers(min_value=0, max_value=5),
+    adjoint=st.booleans(),
+    log_span=st.floats(min_value=-2.0, max_value=3.0),
+)
+def test_resolvent_solve_matches_per_frequency_solve_on_device_drifts(
+    cfg, drives, index, adjoint, log_span
+):
+    # every drift the model builds has the structure the solver needs
+    ds = device_drive_set(cfg.mech, *drives)
+    c = build_linear_model(cfg, ds).complex_drift
+    w = 10.0**log_span * spectrum_grid(cfg, ds, points=41)
+    assert_matches_per_frequency_solve(c, w, index, adjoint)
 
 
 # any 64-bit pattern: +-0, subnormals, nan payloads and +-inf occur as well
