@@ -17,10 +17,9 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError
-from .sysmodel import Cavity, Drive, DriveSet, MechanicalMode, SystemConfig
+from .sysmodel import TWO_PI, Cavity, Drive, DriveSet, MechanicalMode, SystemConfig
 from .synthesis import NoiseModel
 
-TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class Scenario:

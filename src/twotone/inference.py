@@ -22,6 +22,7 @@ from numpy.typing import NDArray
 from .errors import DomainError, FitError
 from .lsq import levenberg_marquardt
 from .synthesis import NoisySpectrum
+from .sysmodel import TWO_PI
 
 
 @dataclass(frozen=True)
@@ -47,12 +48,12 @@ class LorentzianFit:
 
     def to_record(self) -> dict:
         return {
-            "center_hz": self.center / (2.0 * math.pi),
-            "fwhm_hz": self.fwhm / (2.0 * math.pi),
+            "center_hz": self.center / TWO_PI,
+            "fwhm_hz": self.fwhm / TWO_PI,
             "area": self.area,
             "background": self.background,
-            "center_err_hz": self.center_err / (2.0 * math.pi),
-            "fwhm_err_hz": self.fwhm_err / (2.0 * math.pi),
+            "center_err_hz": self.center_err / TWO_PI,
+            "fwhm_err_hz": self.fwhm_err / TWO_PI,
             "area_err": self.area_err,
             "background_err": self.background_err,
             "chi2_dof": self.chi2_dof,
@@ -93,7 +94,7 @@ def _flat_background_fit(freq, y, err) -> LorentzianFit:
         background=flat,
         center_err=math.inf,
         fwhm_err=math.inf,
-        area_err=flat_err * float(freq[-1] - freq[0]) / (2.0 * math.pi),
+        area_err=flat_err * float(freq[-1] - freq[0]) / TWO_PI,
         background_err=flat_err,
         chi2_dof=chi2,
         converged=True,
@@ -379,15 +380,6 @@ class SqueezingMetrics:
     v_min: float
     v_max: float
 
-    def to_record(self) -> dict:
-        return {
-            "squeezing_db": self.squeezing_db,
-            "purity": self.purity,
-            "heisenberg_ok": self.heisenberg_ok,
-            "v_min": self.v_min,
-            "v_max": self.v_max,
-        }
-
 
 def squeezing_metrics(t: TomogramFit) -> SqueezingMetrics:
     """Metrics of the fitted moment matrix.
@@ -467,16 +459,6 @@ class EvasionReport:
     delta_v1: float
     delta_v1_err: float
     v1_reference: float
-
-    def to_record(self) -> dict:
-        return {
-            "evasion_db": self.evasion_db,
-            "is_lower_bound": self.is_lower_bound,
-            "n_ba": self.n_ba,
-            "delta_v1": self.delta_v1,
-            "delta_v1_err": self.delta_v1_err,
-            "v1_reference": self.v1_reference,
-        }
 
 
 def backaction_evasion_report(

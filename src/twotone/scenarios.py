@@ -7,6 +7,11 @@ floating-point output is serialized with 17 significant digits and every
 random draw is keyed by (seed, point index), so a rerun with the same
 configuration and seed reproduces the data artifacts byte for byte. The run
 manifest records timings and is therefore excluded from that guarantee.
+
+A runner is called as ``runner(run, ds, params)`` and writes only through
+its run context ``run`` (``_Run``), which lists each artifact in the
+manifest once it is written and gives each sweep point its
+``failure_point`` and its entry in ``timings_s``.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,10 +55,8 @@ from .inference import (
     write_fit_records,
 )
 from .synthesis import NoiseModel, synthesize, write_noisy_csv
-from .sysmodel import LOWER, UPPER, Drive, DriveSet, SystemConfig, drive_pair
+from .sysmodel import LOWER, TWO_PI, UPPER, Drive, DriveSet, SystemConfig, drive_pair
 from .tables import write_csv
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass
@@ -70,86 +73,99 @@ class RunManifest:
     failure: str | None = None
     failure_point: str | None = None
 
-    def write(self, out_dir: Path) -> Path:
+    def write(self, out_dir: Path) -> None:
         """Atomically serialize the manifest at the end of the run."""
-        path = out_dir / "manifest.json"
         tmp = out_dir / "manifest.json.tmp"
-        payload = {
-            "toolkit_version": self.toolkit_version,
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "config_digest": self.config_digest,
-            "artifacts": sorted(self.artifacts),
-            "timings_s": self.timings_s,
-            "status": self.status,
-            "failure": self.failure,
-            "failure_point": self.failure_point,
-        }
+        payload = asdict(self)
+        payload["artifacts"].sort()
         with open(tmp, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        os.replace(tmp, path)
-        return path
+        os.replace(tmp, out_dir / "manifest.json")
 
 
-def _require_drive(ds: DriveSet, cavity: int, sideband: str, scenario: str) -> Drive:
-    d = ds.get(cavity, sideband)
-    if d is None:
-        raise ConfigError(
-            f"scenario {scenario} requires a {sideband}-sideband drive on cavity {cavity}"
+@dataclass(frozen=True)
+class _Run:
+    """The device, noise model, output directory and manifest of one run.
+
+    Its methods look the pipeline functions up as module globals at each
+    call, so a wrapper installed on those globals sees every call.
+    """
+
+    cfg: SystemConfig
+    noise: NoiseModel
+    out_dir: Path
+    manifest: RunManifest
+
+    def record(self, name: str, records: dict) -> None:
+        write_fit_records(records, self.out_dir / name)
+        self.manifest.artifacts.append(name)
+
+    def table(self, name: str, names, columns) -> None:
+        write_csv(self.out_dir / name, names, columns)
+        self.manifest.artifacts.append(name)
+
+    def points(self, values, label: str):
+        """Yield ``(k, tag, value)`` for each sweep point.
+
+        While a point runs, ``failure_point`` names it; once it completes,
+        ``timings_s[tag]`` holds its duration. A failed point gets no timing.
+        """
+        for k, value in enumerate(values):
+            t0 = time.perf_counter()
+            tag = f"point_{k:02d}"
+            self.manifest.failure_point = f"{tag} ({label} {value:g})"
+            yield k, tag, value
+            self.manifest.timings_s[tag] = time.perf_counter() - t0
+
+    def measure(self, ds, cavity, stream, tag, fit, *, points, span=None):
+        """One synthesized measurement of a cavity's output, fitted and written.
+
+        ``fit`` maps the noisy spectrum to the fit result. It runs before the
+        spectrum is written as ``{tag}.csv``, because a fit that follows the
+        write of its own spectrum is measurably slower. Returns the ideal
+        spectrum and the fit result.
+        """
+        grid = spectrum_grid(self.cfg, ds, points=points, span=span)
+        spectrum = output_spectrum(build_linear_model(self.cfg, ds), cavity, grid)
+        noisy = synthesize(spectrum, self.noise, stream=stream)
+        result = fit(noisy)
+        write_noisy_csv(noisy, self.out_dir / f"{tag}.csv")
+        self.manifest.artifacts.append(f"{tag}.csv")
+        return spectrum, result
+
+    def area(self, ds, cavity, stream, tag, points):
+        """Lorentzian fit of one measurement, recorded as ``{tag}_fit.json``.
+
+        The fit linewidth is pinned to the calibrated total damping, as the
+        driven-response calibration provides it; this keeps weak-peak areas
+        unbiased.
+        """
+        fixed = {"fwhm": effective_linewidth(self.cfg, ds)}
+        _, fit = self.measure(
+            ds, cavity, stream, tag, lambda noisy: fit_lorentzian(noisy, fixed=fixed), points=points
         )
-    return d
+        self.record(f"{tag}_fit.json", fit.to_record())
+        return fit
 
 
-def _reject_drives(ds: DriveSet, cavity: int, scenario: str) -> None:
-    if any(d.cavity_index == cavity for d in ds.drives):
+def _cooling_drive(ds: DriveSet, scenario: str, upper_error: str | None = None) -> Drive:
+    """The cavity-2 cooling drive of a sweep that builds the cavity-1 drives.
+
+    With ``upper_error`` given, an upper-sideband drive on cavity 2 is
+    rejected with that message as well.
+    """
+    cooling = ds.get(2, LOWER)
+    if cooling is None:
+        raise ConfigError(f"scenario {scenario} requires a lower-sideband drive on cavity 2")
+    if upper_error is not None and ds.get(2, UPPER) is not None:
+        raise ConfigError(upper_error)
+    if any(d.cavity_index == 1 for d in ds.drives):
         raise ConfigError(
-            f"scenario {scenario} constructs the cavity-{cavity} drives itself; "
+            f"scenario {scenario} constructs the cavity-1 drives itself; "
             "remove them from the drives list"
         )
-
-
-def _write_record(manifest: RunManifest, out_dir: Path, name: str, records: dict) -> None:
-    write_fit_records(records, out_dir / name)
-    manifest.artifacts.append(name)
-
-
-def _write_columns(manifest: RunManifest, out_dir: Path, name: str, names, columns) -> None:
-    write_csv(out_dir / name, names, columns)
-    manifest.artifacts.append(name)
-
-
-def _measure(cfg, ds, cavity, noise, stream, out_dir, manifest, tag, fit, *, points, span=None):
-    """One synthesized measurement of a cavity's output, fitted and written.
-
-    ``fit`` maps the noisy spectrum to the fit result. It runs before the
-    spectrum is written as ``{tag}.csv``, because a fit that follows the
-    write of its own spectrum is measurably slower. Returns the ideal
-    spectrum and the fit result.
-    """
-    grid = spectrum_grid(cfg, ds, points=points, span=span)
-    spectrum = output_spectrum(build_linear_model(cfg, ds), cavity, grid)
-    noisy = synthesize(spectrum, noise, stream=stream)
-    result = fit(noisy)
-    write_noisy_csv(noisy, out_dir / f"{tag}.csv")
-    manifest.artifacts.append(f"{tag}.csv")
-    return spectrum, result
-
-
-def _measure_area(cfg, ds, cavity, noise, stream, out_dir, manifest, tag, points):
-    """Lorentzian fit of one measurement, recorded as ``{tag}_fit.json``.
-
-    The fit linewidth is pinned to the calibrated total damping, as the
-    driven-response calibration provides it; this keeps weak-peak areas
-    unbiased.
-    """
-    fixed = {"fwhm": effective_linewidth(cfg, ds)}
-    _, fit = _measure(
-        cfg, ds, cavity, noise, stream, out_dir, manifest, tag,
-        lambda noisy: fit_lorentzian(noisy, fixed=fixed), points=points,
-    )
-    _write_record(manifest, out_dir, f"{tag}_fit.json", fit.to_record())
-    return fit
+    return cooling
 
 
 def _fit_sidebands(noisy, delta: float, window: float, width: float):
@@ -181,33 +197,31 @@ def run_scenario(
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    noise = scenario.noise if seed is None else NoiseModel(
-        floor=scenario.noise.floor, averages=scenario.noise.averages, seed=seed
-    )
+    noise = scenario.noise if seed is None else replace(scenario.noise, seed=seed)
     manifest = RunManifest(
         toolkit_version=__version__,
         scenario=scenario.name,
         seed=noise.seed,
         config_digest=config_digest,
     )
+    run = _Run(cfg, noise, out_dir, manifest)
     _, runner = SCENARIOS[scenario.name]
     start = time.perf_counter()
     try:
-        runner(cfg, ds, scenario, noise, out_dir, manifest)
+        runner(run, ds, scenario.params)
         manifest.failure_point = None
-    except Exception as exc:
+        run.record("fit_units.json", FIT_RECORD_UNITS)
+    except BaseException as exc:
         manifest.status = "failed"
         manifest.failure = f"{type(exc).__name__}: {exc}"
+        raise
+    finally:
         manifest.timings_s["total"] = time.perf_counter() - start
         manifest.write(out_dir)
-        raise
-    manifest.timings_s["total"] = time.perf_counter() - start
-    _write_record(manifest, out_dir, "fit_units.json", FIT_RECORD_UNITS)
-    manifest.write(out_dir)
     return manifest
 
 
-def _run_backaction_sweep(cfg, ds, scenario, noise, out_dir, manifest):
+def _run_backaction_sweep(run: _Run, ds: DriveSet, params: dict) -> None:
     """Measurement-strength sweep with balanced pairs, by frequency placement.
 
     Per point: the pair detuned symmetrically off its sidebands measures both
@@ -215,29 +229,23 @@ def _run_backaction_sweep(cfg, ds, scenario, noise, out_dir, manifest):
     the on-sideband pair measures the single quadrature X1, and the cooling
     cavity's sideband provides the total occupancy in the latter case.
     """
-    cooling = _require_drive(ds, 2, LOWER, scenario.name)
-    if ds.get(2, UPPER) is not None:
-        raise ConfigError("backaction_sweep runs against a pure cooling drive")
-    _reject_drives(ds, 1, scenario.name)
-    delta = scenario.params["pair_detuning"]
-    points = scenario.params["points"]
+    cooling = _cooling_drive(ds, run.manifest.scenario, "backaction_sweep runs against a pure cooling drive")
+    delta = params["pair_detuning"]
+    points = params["points"]
     rows = []
     per_point = []
-    for k, ratio in enumerate(scenario.params["ratios"]):
-        t0 = time.perf_counter()
+    for k, tag, ratio in run.points(params["ratios"], "gamma_ratio"):
         gamma_meas = ratio * cooling.rate
-        tag = f"point_{k:02d}"
-        manifest.failure_point = f"{tag} (gamma_ratio {ratio:g})"
 
         # detuned (both-quadrature) case: two sidebands at -/+ delta
         ds_nonqnd = DriveSet(
             (cooling,) + drive_pair(1, gamma_meas, gamma_meas, detuning=delta)
         )
-        width = effective_linewidth(cfg, ds_nonqnd)
+        width = effective_linewidth(run.cfg, ds_nonqnd)
         span = delta + 10.0 * width
         window = min(0.85 * delta, span - delta)
-        _, (anti, stokes) = _measure(
-            cfg, ds_nonqnd, 1, noise, 3 * k, out_dir, manifest, f"{tag}_nonqnd",
+        _, (anti, stokes) = run.measure(
+            ds_nonqnd, 1, 3 * k, f"{tag}_nonqnd",
             lambda noisy: _fit_sidebands(noisy, delta, window, width), points=points, span=span,
         )
         n_anti, n_stokes, calibration = occupancy_from_sidebands(
@@ -251,22 +259,16 @@ def _run_backaction_sweep(cfg, ds, scenario, noise, out_dir, manifest):
         w_anti, w_stokes = err_anti**-2, err_stokes**-2
         n_nonqnd = (w_anti * n_anti + w_stokes * n_stokes) / (w_anti + w_stokes)
         n_nonqnd_err = (w_anti + w_stokes) ** -0.5
-        _write_record(
-            manifest,
-            out_dir,
+        run.record(
             f"{tag}_nonqnd_fit.json",
-            {
-                "anti_stokes": anti.to_record(),
-                "stokes": stokes.to_record(),
-                "calibration_factor": calibration,
-            },
+            {"anti_stokes": anti.to_record(), "stokes": stokes.to_record(), "calibration_factor": calibration},
         )
 
         # on-sideband (single-quadrature) case: X1 from cavity 1, total
         # occupancy from the cooling cavity's sideband
         ds_qnd = DriveSet((cooling,) + drive_pair(1, gamma_meas, gamma_meas))
-        fit1 = _measure_area(cfg, ds_qnd, 1, noise, 3 * k + 1, out_dir, manifest, f"{tag}_qnd_cav1", points)
-        fit2 = _measure_area(cfg, ds_qnd, 2, noise, 3 * k + 2, out_dir, manifest, f"{tag}_qnd_cav2", points)
+        fit1 = run.area(ds_qnd, 1, 3 * k + 1, f"{tag}_qnd_cav1", points)
+        fit2 = run.area(ds_qnd, 2, 3 * k + 2, f"{tag}_qnd_cav2", points)
         rows.append(
             [
                 ratio,
@@ -283,12 +285,9 @@ def _run_backaction_sweep(cfg, ds, scenario, noise, out_dir, manifest):
                 "asymmetry_expected": n_nonqnd / (n_nonqnd + 1.0),
             }
         )
-        manifest.timings_s[tag] = time.perf_counter() - t0
 
     data = np.array(rows)
-    _write_columns(
-        manifest,
-        out_dir,
+    run.table(
         "backaction.csv",
         ["gamma_ratio", "n_tot_qnd", "n_tot_qnd_err", "n_tot_nonqnd", "n_tot_nonqnd_err", "v1_qnd", "v1_qnd_err"],
         data.T,
@@ -301,21 +300,13 @@ def _run_backaction_sweep(cfg, ds, scenario, noise, out_dir, manifest):
         nonqnd_occupancies=[(r[0], r[3], r[4]) for r in rows],
         gamma_ratio=float(data[top, 0]),
     )
-    summary = {
-        "line_fit": {
-            "slope": line.slope,
-            "slope_err": line.slope_err,
-            "intercept": line.intercept,
-            "intercept_err": line.intercept_err,
-            "chi2_dof": line.chi2_dof,
-        },
-        "evasion": evasion.to_record(),
-        "asymmetry": per_point,
-    }
-    _write_record(manifest, out_dir, "summary.json", summary)
+    run.record(
+        "summary.json",
+        {"line_fit": asdict(line), "evasion": asdict(evasion), "asymmetry": per_point},
+    )
 
 
-def _run_squeeze_sweep(cfg, ds, scenario, noise, out_dir, manifest):
+def _run_squeeze_sweep(run: _Run, ds: DriveSet, params: dict) -> None:
     """Squeezed and anti-squeezed variances against the drive-rate ratio.
 
     Per ratio the control pair sets the engineered bath and the balanced
@@ -323,35 +314,25 @@ def _run_squeeze_sweep(cfg, ds, scenario, noise, out_dir, manifest):
     acquisitions. Theory columns come from the closed-form moments of the
     same drive sets.
     """
-    cooling = _require_drive(ds, 2, LOWER, scenario.name)
-    if ds.get(2, UPPER) is not None:
-        raise ConfigError(
-            "squeeze_sweep constructs the upper control tone per point; "
-            "remove it from the drives list"
-        )
-    _reject_drives(ds, 1, scenario.name)
-    gamma_meas = scenario.params["measurement_ratio"] * cooling.rate
-    points = scenario.params["points"]
+    cooling = _cooling_drive(
+        ds,
+        run.manifest.scenario,
+        "squeeze_sweep constructs the upper control tone per point; "
+        "remove it from the drives list",
+    )
+    gamma_meas = params["measurement_ratio"] * cooling.rate
     rows = []
-    for k, ratio in enumerate(scenario.params["ratios"]):
-        t0 = time.perf_counter()
-        tag = f"point_{k:02d}"
-        manifest.failure_point = f"{tag} (squeeze_ratio {ratio:g})"
+    for k, tag, ratio in run.points(params["ratios"], "squeeze_ratio"):
         control = drive_pair(2, cooling.rate, ratio * cooling.rate)
         measured, theory = [ratio], []
         for sub, angle in enumerate((0.0, math.pi / 2.0)):
             ds_phi = DriveSet(control + drive_pair(1, gamma_meas, gamma_meas, angle=angle))
-            fit = _measure_area(
-                cfg, ds_phi, 1, noise, 2 * k + sub, out_dir, manifest, f"{tag}_angle{sub}", points
-            )
+            fit = run.area(ds_phi, 1, 2 * k + sub, f"{tag}_angle{sub}", params["points"])
             measured += [fit.area / gamma_meas, fit.area_err / gamma_meas]
-            theory.append(variance_of_phase(quadrature_variances(cfg.mech, ds_phi), angle))
+            theory.append(variance_of_phase(quadrature_variances(run.cfg.mech, ds_phi), angle))
         rows.append(measured + theory)
-        manifest.timings_s[tag] = time.perf_counter() - t0
     data = np.array(rows)
-    _write_columns(
-        manifest,
-        out_dir,
+    run.table(
         "squeeze.csv",
         ["squeeze_ratio", "v1", "v1_err", "v2", "v2_err", "v1_theory", "v2_theory"],
         data.T,
@@ -363,90 +344,67 @@ def _run_squeeze_sweep(cfg, ds, scenario, noise, out_dir, manifest):
             f"{r:.17g}": float(s) for r, s in zip(data[:, 0], below)
         },
     }
-    _write_record(manifest, out_dir, "summary.json", summary)
+    run.record("summary.json", summary)
 
 
-def _run_tomography(cfg, ds, scenario, noise, out_dir, manifest):
+def _run_tomography(run: _Run, ds: DriveSet, params: dict) -> None:
     """Variance of the measured quadrature versus measurement phase.
 
     The control drives come from the configuration (cooling only gives the
     isotropic state, an asymmetric pair a squeezed one); the balanced pair's
     angle is swept over [0, pi].
     """
-    cooling = _require_drive(ds, 2, LOWER, scenario.name)
-    _reject_drives(ds, 1, scenario.name)
-    gamma_meas = scenario.params["measurement_ratio"] * cooling.rate
-    points = scenario.params["points"]
-    phases = np.linspace(0.0, math.pi, scenario.params["n_phases"])
+    cooling = _cooling_drive(ds, run.manifest.scenario)
+    gamma_meas = params["measurement_ratio"] * cooling.rate
     rows = []
-    for k, phi in enumerate(phases):
-        t0 = time.perf_counter()
-        tag = f"point_{k:02d}"
-        manifest.failure_point = f"{tag} (phi {phi:g})"
+    for k, tag, phi in run.points(np.linspace(0.0, math.pi, params["n_phases"]), "phi"):
         ds_phi = DriveSet(ds.drives + drive_pair(1, gamma_meas, gamma_meas, angle=phi))
-        fit = _measure_area(cfg, ds_phi, 1, noise, k, out_dir, manifest, tag, points)
-        theory = variance_of_phase(quadrature_variances(cfg.mech, ds_phi), phi)
+        fit = run.area(ds_phi, 1, k, tag, params["points"])
+        theory = variance_of_phase(quadrature_variances(run.cfg.mech, ds_phi), phi)
         rows.append([phi, fit.area / gamma_meas, fit.area_err / gamma_meas, theory])
-        manifest.timings_s[tag] = time.perf_counter() - t0
     data = np.array(rows)
-    _write_columns(
-        manifest, out_dir, "tomogram.csv", ["phi_rad", "v_measured", "v_err", "v_theory"], data.T
-    )
+    run.table("tomogram.csv", ["phi_rad", "v_measured", "v_err", "v_theory"], data.T)
     fit = tomography_sweep(data[:, 0], data[:, 1], data[:, 2])
     metrics = squeezing_metrics(fit)
     occupancy = (fit.v1 + fit.v2 - 2.0) / 4.0
     occupancy_err = math.sqrt(fit.cov[0, 0] + fit.cov[1, 1] + 2.0 * fit.cov[0, 1]) / 4.0
-    _write_record(
-        manifest,
-        out_dir,
+    run.record(
         "summary.json",
         {
             "tomogram": fit.to_record(),
-            "metrics": metrics.to_record(),
+            "metrics": asdict(metrics),
             "occupancy": occupancy,
             "occupancy_err": occupancy_err,
         },
     )
 
 
-def _run_driven_response(cfg, ds, scenario, noise, out_dir, manifest):
+def _run_driven_response(run: _Run, ds: DriveSet, params: dict) -> None:
     """Complex reflection of a weak probe across the transparency window."""
-    cavity = scenario.params["cavity"]
-    points = scenario.params["points"]
-    span = scenario.params.get("span")
+    cavity = params["cavity"]
+    span = params.get("span")
     if span is None:
-        span = 6.0 * abs(effective_linewidth(cfg, ds))
-    grid = np.linspace(-span, span, points)
-    s11 = driven_response(cfg, ds, cavity, grid)
-    _write_columns(
-        manifest,
-        out_dir,
-        "response.csv",
-        ["offset_hz", "re_s11", "im_s11"],
-        (grid / TWO_PI, s11.real, s11.imag),
-    )
-    fwhm = transparency_window_fwhm(cfg, ds, cavity)
-    _write_record(
-        manifest,
-        out_dir,
+        span = 6.0 * abs(effective_linewidth(run.cfg, ds))
+    grid = np.linspace(-span, span, params["points"])
+    s11 = driven_response(run.cfg, ds, cavity, grid)
+    run.table("response.csv", ["offset_hz", "re_s11", "im_s11"], (grid / TWO_PI, s11.real, s11.imag))
+    fwhm = transparency_window_fwhm(run.cfg, ds, cavity)
+    run.record(
         "summary.json",
-        {
-            "window_fwhm_hz": fwhm / TWO_PI,
-            "damping_sum_hz": effective_linewidth(cfg, ds) / TWO_PI,
-        },
+        {"window_fwhm_hz": fwhm / TWO_PI, "damping_sum_hz": effective_linewidth(run.cfg, ds) / TWO_PI},
     )
 
 
-def _run_single_spectrum(cfg, ds, scenario, noise, out_dir, manifest):
+def _run_single_spectrum(run: _Run, ds: DriveSet, params: dict) -> None:
     """One ideal spectrum of the configured drive set, plus a measurement."""
-    spectrum, fit = _measure(
-        cfg, ds, scenario.params["cavity"], noise, 0, out_dir, manifest, "noisy", fit_lorentzian,
-        points=scenario.params["points"], span=scenario.params.get("span"),
+    spectrum, fit = run.measure(
+        ds, params["cavity"], 0, "noisy", fit_lorentzian,
+        points=params["points"], span=params.get("span"),
     )
-    write_spectrum_csv(spectrum, out_dir / "spectrum.csv")
-    manifest.artifacts.append("spectrum.csv")
-    _write_record(manifest, out_dir, "fit.json", fit.to_record())
-    _write_record(manifest, out_dir, "summary.json", {"integrated_flux": spectrum.integrated_flux()})
+    write_spectrum_csv(spectrum, run.out_dir / "spectrum.csv")
+    run.manifest.artifacts.append("spectrum.csv")
+    run.record("fit.json", fit.to_record())
+    run.record("summary.json", {"integrated_flux": spectrum.integrated_flux()})
 
 
 # Every scenario by name: the parser of its ``scenario.params`` section and

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -263,6 +264,22 @@ class TestExitCodes:
         assert manifest["status"] == "failed"
         assert manifest["failure"].startswith("FitError")
 
+    def test_failed_sweep_keeps_the_completed_points(self, tmp_path, capsys):
+        # point_00 completes; the squeeze ratio of point_01 makes the model unstable
+        assert main(self.bundled_with(tmp_path, "squeeze_sweep.json", ratios=[0.2, 1.5])) == 3
+        assert capsys.readouterr().err.startswith("instability: ")
+        out = tmp_path / "out"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["failure"].startswith("InstabilityError")
+        assert manifest["failure_point"] == "point_01 (squeeze_ratio 1.5)"
+        assert sorted(manifest["timings_s"]) == ["point_00", "total"]
+        assert not (out / "fit_units.json").exists()
+        assert manifest["artifacts"] == point_files(
+            1, "_angle0.csv", "_angle0_fit.json", "_angle1.csv", "_angle1_fit.json"
+        )
+        assert sorted(p.name for p in out.iterdir()) == sorted(manifest["artifacts"] + ["manifest.json"])
+
     def test_zero_area_sideband_exits_four(self, tmp_path, capsys):
         assert main(self.bundled_with(tmp_path, "backaction_sweep.json", ratios=[1e-6, 0.1])) == 4
         err = capsys.readouterr().err
@@ -305,6 +322,12 @@ class TestScenarioSchema:
         with pytest.raises(ConfigError) as info:
             parse_config(bundled_document(name, cavity=3))
         assert str(info.value) == "scenario.params.cavity must be 1 or 2"
+
+
+MANIFEST_KEYS = [
+    "artifacts", "config_digest", "failure", "failure_point", "scenario",
+    "seed", "status", "timings_s", "toolkit_version",
+]
 
 
 def point_files(n, *suffixes):
@@ -359,6 +382,11 @@ class TestScenarioArtifacts:
         assert manifest.status == "complete"
         assert sorted(manifest.artifacts) == expected
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected + ["manifest.json"])
+        # perfbench counts each ``point_`` timing as one item
+        written = json.loads((tmp_path / "manifest.json").read_text())
+        n_points = len({a[:8] for a in expected if a.startswith("point_")})
+        assert list(written["timings_s"]) == [f"point_{k:02d}" for k in range(n_points)] + ["total"]
+        assert sorted(written) == MANIFEST_KEYS
 
 
 class TestScenarioRequirements:
@@ -387,6 +415,48 @@ class TestScenarioRequirements:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(document))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
+def _load_tracer(monkeypatch):
+    """perfbench's span tracer, loaded from its file; perfbench is not a package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTracedBenchmark:
+    """perfbench times the layers it names by patching them where callers look them up."""
+
+    SWEEP_LAYERS = {
+        "scenarios.run_scenario",
+        "dynamics.output_spectrum",
+        "synthesis.synthesize",
+        "inference.fit_lorentzian",
+        "synthesis.write_noisy_csv",
+        "inference.write_fit_records",
+    }
+
+    def test_a_traced_sweep_records_every_sweep_layer(self, tmp_path, monkeypatch):
+        import twotone.config  # noqa: F401  the tracer looks each layer up in sys.modules
+        import twotone.scenarios  # noqa: F401
+
+        tracer_module = _load_tracer(monkeypatch)
+        for qualified in tracer_module.LAYERS:
+            module_name, func_name = qualified.split(".")
+            assert callable(getattr(sys.modules[f"twotone.{module_name}"], func_name, None)), qualified
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(bundled_document("backaction_sweep.json", ratios=[0.5, 1.0])))
+        tracer = tracer_module.Tracer()
+        tracer.install()
+        try:
+            code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        finally:
+            tracer.uninstall()
+        assert code == 0
+        assert {span.name for span in tracer.spans} >= self.SWEEP_LAYERS
 
 
 def _scipy_modules_after(script, *args):
