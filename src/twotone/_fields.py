@@ -1,7 +1,8 @@
 """The ``%.17g`` field kernel behind :func:`twotone.tables.write_csv`.
 
 :mod:`twotone.tables` describes the algorithm, its guard and its error
-bound. ``write_csv`` imports this module when it writes its first table, so
+bound, and why one call keeps its temporaries in one workspace.
+``write_csv`` imports this module when it writes its first table, so
 ``import twotone`` does not compile the kernel.
 """
 
@@ -11,7 +12,7 @@ import numpy as np
 
 _SPLIT = 134217729.0  # 2^27 + 1: Dekker's split of a double into two 26-bit halves
 _MARGIN = 1e-6  # guard band around a rounding half, far above the 2^-46 error
-BLOCK = 512  # rows formatted at once: keeps every temporary small
+BLOCK = 8192  # most rows formatted at once: bounds the workspace on huge grids
 
 
 def _in_range(a):
@@ -19,10 +20,12 @@ def _in_range(a):
     return (a >= 1e-280) & (a <= 1e280)
 
 
-def _split(a):
-    t = a * _SPLIT
-    high = t - (t - a)
-    return high, a - high
+def _split(a, out):
+    """Dekker's split a = high + low into the rows ``out`` = (high, low)."""
+    high, low = out
+    np.multiply(a, _SPLIT, out=high)  # t
+    np.subtract(high, np.subtract(high, a, out=low), out=high)  # t - (t - a)
+    np.subtract(a, high, out=low)
 
 
 # the text of i = 0000..9999 as one little-endian uint32 word, and its trailing zeros
@@ -53,7 +56,8 @@ def kernel_tables(table: np.ndarray) -> tuple:
         num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
         hi = num / den
         n, d = hi.as_integer_ratio()
-        powers[:, j] = (hi, *_split(hi), (num * d - n * den) / (den * d))
+        powers[0, j], powers[3, j] = hi, (num * d - n * den) / (den * d)
+    _split(powers[0], powers[1:3])
 
     x = np.arange(low, high + 1)[:, None]
     n = np.arange(18)
@@ -65,26 +69,49 @@ def kernel_tables(table: np.ndarray) -> tuple:
     return low, powers, lengths.astype(np.int16).ravel()
 
 
-def format_rows(table, low, powers, lengths) -> bytes:
-    """CSV lines of a 2-d float table: ``%.17g`` fields, ``,`` and newline separated."""
+def _carve(rows, shape, dtype):
+    """A C-ordered ``dtype`` array of ``shape`` on the memory of consecutive workspace rows."""
+    return rows.reshape(-1).view(dtype)[: shape[0] * shape[1]].reshape(shape)
+
+
+def format_rows(table, low, powers, lengths) -> np.ndarray:
+    """CSV lines of a 2-d float table as a uint8 array: ``%.17g`` fields, ``,`` and newline separated."""
     rows, cols = table.shape
     x = table.ravel()
     count = x.size
-    a = np.abs(x)
+    # Every temporary of `count` entries lives in one workspace of 12 rows,
+    # whose rows each phase takes over from the last:
+    #   numbers  0 a, 1-4 powers, 5-6 split of a, 7 p, 8 c, 9 t, 10 d, 11 floor(c)
+    #   digits   0 sorted d, 1 lead, 2-4 rest, 5-8 groups, 9-11 words
+    #   text     0-3 buf, 4-7 out, 8-11 mask (a field and its separator take at most 26 bytes)
+    ws = np.empty((12, count))
+    ints = ws.view(np.int64)
+    a, hi, hi_high, hi_low, lo, a_high, a_low, p, c, t = ws[:10]
+    np.abs(x, out=a)
     ok = _in_range(a)
     a[~ok] = 1.0
 
     # D = round(a * 10^(16 - X)) = p + round(c), p = fl(a * hi) an integer
-    key = np.floor(np.log10(a)).astype(np.int16) - low
-    hi, hi_high, hi_low, lo = np.take(powers, key, axis=1)
-    a_high, a_low = _split(a)
-    p = a * hi
-    c = ((a_high * hi_high - p) + a_high * hi_low + a_low * hi_high) + a_low * hi_low
-    c += a * lo
-    whole = np.floor(c)
-    frac = c - whole
-    d = p.astype(np.int64) + whole.astype(np.int64)  # floor(D)
-    ok &= (np.abs(frac - 0.5) >= _MARGIN) & (d >= 10**16)
+    key = np.floor(np.log10(a, out=t), out=t).astype(np.int16)
+    key -= low
+    # take(..., out=) buffers `out` unless mode="clip"; every index here is in range
+    np.take(powers, key, axis=1, out=ws[1:5], mode="clip")
+    _split(a, ws[5:7])
+    np.multiply(a, hi, out=p)
+    # c = ((a_high hi_high - p) + a_high hi_low + a_low hi_high) + a_low hi_low + a lo
+    np.subtract(np.multiply(a_high, hi_high, out=c), p, out=c)
+    c += np.multiply(a_high, hi_low, out=t)
+    c += np.multiply(a_low, hi_high, out=t)
+    c += np.multiply(a_low, hi_low, out=t)
+    c += np.multiply(a, lo, out=t)
+    whole = np.floor(c, out=t)
+    frac = np.subtract(c, whole, out=c)
+    d, whole_int = ints[10:12]
+    np.copyto(d, p, casting="unsafe")
+    np.copyto(whole_int, whole, casting="unsafe")
+    d += whole_int  # floor(D)
+    ok &= np.abs(np.subtract(frac, 0.5, out=t), out=t) >= _MARGIN
+    ok &= d >= 10**16
     d += frac > 0.5
     ok &= d < 10**17
     d[~ok] = 10**16  # any 17-digit value: Python formats these fields
@@ -94,17 +121,16 @@ def format_rows(table, low, powers, lengths) -> bytes:
     key[~ok] = guard
     order = np.argsort(key, kind="stable")
     key = key[order]
-    d = d[order]
+    d = np.take(d, order, out=ints[0], mode="clip")
 
     # the 17 digits: the leading one and four 4-digit groups
-    lead = d // 10**16
-    rest = d - lead * 10**16
-    upper = rest // 10**8
-    lower = rest - upper * 10**8
-    g1 = upper // 10**4
-    g3 = lower // 10**4
-    groups = (g1, upper - g1 * 10**4, g3, lower - g3 * 10**4)
-    words = np.empty((count, 5), "<u4")
+    lead, rest, upper, lower = ints[1:5]
+    groups = ints[5:9]
+    np.divmod(d, 10**16, out=(lead, rest))
+    np.divmod(rest, 10**8, out=(upper, lower))
+    np.divmod(upper, 10**4, out=(groups[0], groups[1]))
+    np.divmod(lower, 10**4, out=(groups[2], groups[3]))
+    words = _carve(ws[9:12], (count, 5), "<u4")
     words[:, 0] = (lead.astype(np.uint32) + ord("0")) << 24
     for j, g in enumerate(groups, 1):
         words[:, j] = _ASCII4[g]
@@ -126,7 +152,7 @@ def format_rows(table, low, powers, lengths) -> bytes:
     layouts = [k + low for k in key[starts].tolist()] if guarded else []
     # one column past the longest field and past the digits each layout writes
     width = max([int(length.max()) + 1] + [19 - xe if -4 <= xe < 0 else 19 for xe in layouts])
-    buf = np.empty((count, width), np.uint8)
+    buf = _carve(ws[0:4], (count, width), np.uint8)
     buf[:, 0] = ord("-")
     flat = buf.reshape(-1)
     for s, e, xe in zip(starts, [*starts[1:], guarded], layouts):
@@ -153,7 +179,7 @@ def format_rows(table, low, powers, lengths) -> bytes:
     # back to table order, each field cut to its sign, digits and separator
     inverse = np.empty_like(order)
     inverse[order] = np.arange(count)
-    out = np.take(buf, inverse, axis=0)
+    out = np.take(buf, inverse, axis=0, out=_carve(ws[4:8], buf.shape, np.uint8), mode="clip")
     length = length[inverse]
     separators = np.full((rows, cols), ord(","), np.uint8)
     separators[:, -1] = ord("\n")
@@ -162,4 +188,5 @@ def format_rows(table, low, powers, lengths) -> bytes:
     keep = np.concatenate([keep, keep])
     keep[:width, 0] = False
     code = length + width * negative[inverse]
-    return out[np.take(keep, code, axis=0)].tobytes()
+    mask = np.take(keep, code, axis=0, out=_carve(ws[8:12], buf.shape, np.bool_), mode="clip")
+    return out[mask]

@@ -375,15 +375,20 @@ def _resolvent_solve(
 ) -> NDArray[np.complex128]:
     """Resolvent column ``index`` of (-i w I - c) at every frame frequency w.
 
-    Returns x of shape (6, n_freq), the column at each grid point. With
-    ``adjoint`` the transposed systems are solved, giving the resolvent row
-    instead. The four cavity modes couple only through the mechanics, so
-    with M = c (or c^T) and s = -i w the cavity block of s I - M is the
-    diagonal 1 / u, u = 1 / (s - diag M_cc), and eliminating it leaves the
-    2 x 2 dressed mechanical system S x_m = r with
-    S = s I - M_mm - M_mc diag(u) M_cm, the optomechanical self-energy
-    subtracted. That system is solved with partial pivoting, and the cavity
-    rows follow as x_c = u (e_c + M_cm x_m), all over the whole grid at once.
+    Returns the call's workspace, a (25, n_freq) complex array whose first
+    six rows hold x, the column at each grid point; the other rows are
+    scratch the caller may reuse. With ``adjoint`` the transposed systems
+    are solved, giving the resolvent row instead. The four cavity modes
+    couple only through the mechanics, so with M = c (or c^T) and s = -i w
+    the cavity block of s I - M is the diagonal 1 / u, u = 1 / (s - diag
+    M_cc), and eliminating it leaves the 2 x 2 dressed mechanical system
+    S x_m = r with S = s I - M_mm - M_mc diag(u) M_cm, the optomechanical
+    self-energy subtracted. That system is solved with partial pivoting, and
+    the cavity rows follow as x_c = u (e_c + M_cm x_m), all over the whole
+    grid at once.
+
+    Every array of n_freq entries is a row of the workspace, written in
+    place, so that glibc keeps its memory between calls (see twotone.tables).
 
     Raises
     ------
@@ -397,43 +402,49 @@ def _resolvent_solve(
     d = np.diagonal(m)[:4]
     if np.count_nonzero(m[:4, :4]) > np.count_nonzero(d):
         raise DomainError("the cavity modes of the drift must couple only through the mechanics")
-    s = -1j * w
-    u = s - d[:, None]
+    ws = np.empty((25, w.size), dtype=complex)
+    x, u, sch, pivoted, rhs, r = ws[:6], ws[6:10], ws[10:14], ws[14:18], ws[18:20], ws[20:22]
+    factor, pivot, s = ws[22:]
+    np.multiply(-1j, w, out=s)
+    np.subtract(s, d[:, None], out=u)
     # s is imaginary, so a gap can vanish only on a diagonal entry without damping
     if not (d.real.all() or u.all()):
         raise NumericalError("the resolvent is singular on the frequency grid")
-    u = 1.0 / u
+    np.divide(1.0, u, out=u)
     to_mech, from_mech = m[4:, :4], m[:4, 4:]
     # S as rows (S_00, S_01, S_10, S_11): minus the self-energy is one product
     # with u, added to the bare mechanical gaps s - M_bb, which near resonance
     # are far smaller than s
     loops = -(to_mech[:, None, :] * from_mech.T[None, :, :]).reshape(4, 4)
-    sch = loops @ u
-    sch[0] += s - m[4, 4]
+    np.matmul(loops, u, out=sch)
+    sch[3] += np.subtract(s, m[5, 5], out=factor)
+    sch[0] += np.subtract(s, m[4, 4], out=s)
     sch[1] -= m[4, 5]
     sch[2] -= m[5, 4]
-    sch[3] += s - m[5, 5]
     if index < 4:
-        rhs = to_mech[:, index, None] * u[index]
+        np.multiply(to_mech[:, index, None], u[index], out=rhs)
     else:
-        rhs = np.eye(2)[index - 4, :, None]
+        rhs[...] = np.eye(2)[index - 4, :, None]
+    # the row with the larger S_k0 is the pivot row: swap the rows of S and rhs where it is S_10
     swap = np.abs(sch[2]) > np.abs(sch[0])
-    top = np.where(swap, sch[2:], sch[:2])
-    bottom = np.where(swap, sch[:2], sch[2:])
-    r_top = np.where(swap, rhs[1], rhs[0])
-    r_bottom = np.where(swap, rhs[0], rhs[1])
-    factor = bottom[0] / top[0]
-    pivot = bottom[1] - factor * top[1]
+    for picked, given in ((pivoted.reshape(2, 2, -1), sch.reshape(2, 2, -1)), (r, rhs)):
+        np.copyto(picked, given)
+        np.copyto(picked, given[::-1], where=swap)
+    top, bottom, (r_top, r_bottom) = pivoted[:2], pivoted[2:], r
+    np.divide(bottom[0], top[0], out=factor)
+    np.subtract(bottom[1], np.multiply(factor, top[1], out=pivot), out=pivot)
     if not (top[0].all() and pivot.all()):
         raise NumericalError("the resolvent is singular on the frequency grid")
-    x = np.empty((6, s.size), dtype=complex)
-    x[5] = (r_bottom - factor * r_top) / pivot
-    x[4] = (r_top - top[1] * x[5]) / top[0]
-    x[:4] = from_mech @ x[4:]
+    # x_5 = (r_bottom - factor r_top) / pivot, x_4 = (r_top - top_1 x_5) / top_0
+    np.subtract(r_bottom, np.multiply(factor, r_top, out=x[5]), out=x[5])
+    x[5] /= pivot
+    np.subtract(r_top, np.multiply(top[1], x[5], out=x[4]), out=x[4])
+    x[4] /= top[0]
+    np.matmul(from_mech, x[4:], out=x[:4])
     if index < 4:
         x[index] += 1.0
     x[:4] *= u
-    return x
+    return ws
 
 
 def output_spectrum(
@@ -486,11 +497,17 @@ def output_spectrum(
     ext_col = next(
         2 * k for k, ch in enumerate(m.channels) if ch.label == f"cav{cavity_index}_ext"
     )
-    # the resolvent row reaching the output mode is an adjoint solve
-    x = _resolvent_solve(m.complex_drift, grid - shift, 2 * (cavity_index - 1), adjoint=True)
-    r = np.sqrt(cav.kappa_ext) * (m.noise_input_matrix().T @ x)
+    # the resolvent row reaching the output mode is an adjoint solve; r and
+    # its squared magnitude take at most 15 of the 19 workspace rows past x
+    ws = _resolvent_solve(m.complex_drift, grid - shift, 2 * (cavity_index - 1), adjoint=True)
+    rows = 2 * len(m.channels)
+    r = ws[6 : 6 + rows]
+    np.matmul(m.noise_input_matrix().T, ws[:6], out=r)
+    r *= np.sqrt(cav.kappa_ext)
     r[ext_col] -= 1.0
-    power = r.real**2 + r.imag**2
+    parts = np.square(r.view(float), out=r.view(float))
+    power = ws[6 + rows : 6 + rows + rows // 2].view(float).reshape(rows, -1)
+    np.add(parts[:, 0::2], parts[:, 1::2], out=power)
     flux = occ @ power[0::2] + (occ + 1.0) @ power[1::2]
 
     meta = {
@@ -527,8 +544,8 @@ def driven_response(
         raise InstabilityError("cannot evaluate the driven response of an unstable model")
     w = _frequency_grid(probe_grid) - m.frame_shifts[probe_cavity - 1]
     index = 2 * (probe_cavity - 1)
-    x = _resolvent_solve(m.complex_drift, w, index, adjoint=False)
-    return 1.0 - cfg.cavity(probe_cavity).kappa_ext * x[index]
+    ws = _resolvent_solve(m.complex_drift, w, index, adjoint=False)
+    return 1.0 - cfg.cavity(probe_cavity).kappa_ext * ws[index]
 
 
 # probe grid of the window fit: points, and half-span in effective linewidths

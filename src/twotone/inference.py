@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.ma  # noqa: F401  np.median checks its input against numpy.ma, which numpy loads lazily
 from numpy.typing import NDArray
 
 from .errors import DomainError, FitError
@@ -133,6 +132,8 @@ def fit_lorentzian(
 
     Raises
     ------
+    DomainError
+        If the data hold a non-finite value or a non-positive error.
     FitError
         If the data hold no more samples than floating parameters, or the
         least-squares iteration does not converge on data that does carry a
@@ -141,6 +142,8 @@ def fit_lorentzian(
     freq = ns.freq
     y = ns.flux_measured
     err = ns.std_err
+    if not (np.isfinite(freq).all() and np.isfinite(y).all() and np.isfinite(err).all()):
+        raise DomainError("frequencies, fluxes and standard errors must be finite")
     if np.any(err <= 0):
         raise DomainError("per-bin standard errors must be positive")
     fixed = dict(fixed or {})
@@ -153,7 +156,9 @@ def fit_lorentzian(
         raise FitError(f"fit needs more than {len(free)} samples, got {len(y)}")
 
     smooth = _smoothed(y, max(3, len(y) // 100))
-    background0 = float(np.median(smooth))
+    # the median as np.median forms it: the mean of the middle one or two values
+    low, high = (len(smooth) - 1) // 2, len(smooth) // 2
+    background0 = float(np.mean(np.partition(smooth, [low, high])[low : high + 1]))
     center0 = float(freq[int(np.argmax(smooth))])
     prominence = float(np.max(smooth) - background0)
     above = smooth - background0 > prominence / 2.0
@@ -337,7 +342,8 @@ def tomography_sweep(
     errors = np.asarray(errors, dtype=float)
     if phases.shape != variances.shape or phases.shape != errors.shape:
         raise DomainError("phases, variances and errors must have equal lengths")
-    if len(np.unique(phases)) < 5:
+    ordered = np.sort(phases)
+    if np.count_nonzero(ordered[1:] != ordered[:-1]) + 1 < 5:
         raise DomainError("tomography needs at least 5 distinct phases")
     if phases.max() - phases.min() < math.pi - 1e-9:
         raise DomainError("tomography phases must span at least pi")
@@ -506,5 +512,4 @@ def backaction_evasion_report(
 def write_fit_records(records: dict, path) -> None:
     """Emit fit results as a JSON record; ``FIT_RECORD_UNITS`` gives the units."""
     with open(path, "w") as fh:
-        json.dump(records, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(records, indent=2, sort_keys=True) + "\n")

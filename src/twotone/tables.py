@@ -6,7 +6,13 @@ one row per sample with every value written as ``%.17g``, which round-trips
 IEEE doubles exactly and keeps reruns byte-identical.
 
 The fields are formatted by one numpy kernel, ``twotone._fields``, loaded
-by the first table written, a block of rows at a time. It works the way
+by the first table written, a whole table per call (up to ``BLOCK`` rows),
+and the file is written as the kernel's bytes. Every temporary of the call
+that grows with the table lives in one workspace allocation, reused from
+phase to phase: glibc trims the top of its heap once it exceeds twice the
+largest mmapped chunk freed so far (mallopt(3)), so many separate
+temporaries would hand their pages back after every table and fault them
+in again for the next. It works the way
 fast exact float printers do: scale and round with a bounded error, and
 hand a value to the exact printer when that bound cannot decide it
 (Loitsch, PLDI 2010: Grisu3 falls back to Dragon4). For |x| with decimal
@@ -58,7 +64,7 @@ def write_csv(
     lines.append(",".join(names))
     table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
     tables = kernel_tables(table)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(lines) + "\n").encode())
         for start in range(0, len(table), BLOCK):
-            fh.write(format_rows(table[start : start + BLOCK], *tables).decode("ascii"))
+            fh.write(format_rows(table[start : start + BLOCK], *tables))

@@ -462,12 +462,16 @@ class TestTracedBenchmark:
 def _scipy_modules_after(script, *args):
     """Run ``script`` in a fresh interpreter; its last stdout line is JSON.
 
-    The script's own result comes back together with every scipy module
-    loaded when it ended.
+    The script's own result comes back together with every scipy and
+    numpy.ma module loaded when it ended: numpy loads numpy.ma lazily, in
+    np.median and np.unique among others.
     """
     src = str(Path(twotone.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    epilogue = '\nprint(json.dumps([result, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))\n'
+    epilogue = (
+        "\nprint(json.dumps([result, sorted(m for m in sys.modules"
+        ' if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"])]))\n'
+    )
     done = subprocess.run(
         [sys.executable, "-c", "import json, sys\n" + script + epilogue, *map(str, args)],
         env=env,
@@ -505,6 +509,11 @@ class TestImports:
     def test_run_loads_no_scipy(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(bundled_document("backaction_sweep.json", ratios=[0.1, 2.44])))
+        assert _scipy_modules_after(_RUN_PROBE, config, tmp_path / "out") == [0, []]
+
+    def test_tomography_run_loads_no_scipy(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(bundled_document("tomography.json", n_phases=6)))
         assert _scipy_modules_after(_RUN_PROBE, config, tmp_path / "out") == [0, []]
 
     def test_crossval_loads_no_scipy(self):

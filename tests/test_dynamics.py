@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import platform
 import sys
 
 import numpy as np
@@ -22,6 +23,7 @@ from twotone.config import bundled_config_path, load_config
 from twotone.dynamics import Spectrum, _resolvent_solve, _solve_frame_shifts
 from twotone.errors import DomainError, InstabilityError, NumericalError
 from twotone.sysmodel import LOWER, UPPER, Cavity, Drive, DriveSet, SystemConfig, drive_pair
+from twotone.tables import write_csv
 
 TWO_PI = 2.0 * math.pi
 
@@ -484,7 +486,7 @@ class TestBatchedResolvent:
         drift[4:, 4:] = [[-1e-13, -1.0], [1.0, -1.0]]
         if adjoint:
             drift = drift.T.copy()
-        x = _resolvent_solve(drift, np.array([0.0]), 4, adjoint=adjoint)
+        x = _resolvent_solve(drift, np.array([0.0]), 4, adjoint=adjoint)[:6]
         expected = np.linalg.solve(-(drift.T if adjoint else drift), np.eye(6)[4])
         np.testing.assert_allclose(x[:, 0], expected, rtol=1e-12, atol=0)
 
@@ -579,3 +581,31 @@ class TestDrivenResponse:
                 2,
                 np.array([0.0]),
             )
+
+
+@pytest.mark.parametrize("kernel", ["output_spectrum", "write_csv"])
+def test_warm_hot_kernels_take_no_page_faults(cfg, mech, tmp_path, kernel):
+    # glibc trims the top of its heap once it exceeds twice the largest
+    # mmapped chunk freed so far (mallopt(3)): a call whose temporaries sum to
+    # more than that hands its pages back and faults them in again next time
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("the heap trimming rule is glibc's")
+    import resource
+
+    from conftest import qnd_config
+
+    model = build_linear_model(cfg, qnd_config(mech, 1.0, detuning=TWO_PI * 5e4))
+    grid = spectrum_grid(cfg, model.ds, points=4001)
+    rng = np.random.default_rng(16)
+    flux = output_spectrum(model, 1, grid).flux
+    columns = (grid, flux, rng.normal(size=4001), 1e-12 * rng.normal(size=4001))
+    calls = {
+        "output_spectrum": lambda: output_spectrum(model, 1, grid),
+        "write_csv": lambda: write_csv(tmp_path / "table.csv", ("a", "b", "c", "d"), columns),
+    }
+    call = calls[kernel]
+    call()
+    call()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    call()
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 50

@@ -94,6 +94,21 @@ class TestFitLorentzian:
         with pytest.raises(DomainError):
             fit_lorentzian(ns)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("column", ["freq", "flux_measured", "std_err"])
+    def test_nonfinite_data_rejected(self, column, bad):
+        freq = np.linspace(-10.0, 10.0, 801)
+        data = {
+            "freq": freq,
+            "flux_measured": lorentzian(freq, 1.0, 2.0, 30.0, 5.0),
+            "std_err": np.full_like(freq, 0.01),
+        }
+        data[column] = data[column].copy()
+        data[column][400] = bad
+        ns = make_noisy(data["freq"], data["flux_measured"], data["std_err"])
+        with pytest.raises(DomainError, match="finite"):
+            fit_lorentzian(ns)
+
     @pytest.mark.parametrize("samples, fixed", [(0, {}), (1, {"fwhm": 2.0}), (4, {}), (3, {"fwhm": 2.0})])
     def test_too_few_samples_rejected(self, samples, fixed):
         freq = np.linspace(-10.0, 10.0, samples)
@@ -201,6 +216,11 @@ class TestTomography:
     def test_too_few_phases(self):
         phases = np.array([0.0, 0.5, 1.0, math.pi])
         with pytest.raises(DomainError):
+            tomography_sweep(phases, np.ones_like(phases), np.full_like(phases, 0.1))
+
+    def test_repeated_phases_count_once(self):
+        phases = np.array([0.0, 0.0, 0.5, 1.0, math.pi, math.pi])
+        with pytest.raises(DomainError, match="5 distinct phases"):
             tomography_sweep(phases, np.ones_like(phases), np.full_like(phases, 0.1))
 
     def test_span_below_pi(self):

@@ -192,6 +192,27 @@ class TestGoldenBytes:
         rows = self.data_fields(path, "x,y")
         assert rows == [["%.17g" % x, "%.17g" % y] for x, y in zip(values, values[::-1])]
 
+    def test_table_past_one_block(self, tmp_path):
+        # BLOCK + 1 rows: the last row is formatted by a call of its own
+        from twotone._fields import BLOCK
+
+        rng = np.random.default_rng(16)
+        hard = np.concatenate([HARD_CASES[case] for case in sorted(HARD_CASES)])
+        special = [0.0, -0.0, 5e-324, -2.5e-310, math.nan, math.inf, -math.inf]
+        fill = 4 * (BLOCK + 1) - 2 * hard.size - len(special)
+        scaled = rng.normal(size=fill) * 10.0 ** rng.integers(-300, 300, fill)
+        table = rng.permutation(np.concatenate([hard, -hard, special, scaled])).reshape(-1, 4)
+        path = tmp_path / "long.csv"
+        write_csv(path, ("a", "b", "c", "d"), table.T)
+        rows = self.data_fields(path, "a,b,c,d")
+        assert rows == [["%.17g" % x for x in row] for row in table.tolist()]
+
+    def test_empty_table_writes_comments_and_header(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        meta = [("rows", 0), ("warnings", ("none",)), ("unit", "κ_ext")]
+        write_csv(path, ("x", "y"), (np.empty(0), np.empty(0)), meta)
+        assert path.read_bytes() == "# rows: 0\n# warning: none\n# unit: κ_ext\nx,y\n".encode()
+
     def test_hard_cases_hold_what_they_name(self):
         assert "%.17g" % HARD_CASES["ties"][0] == "1.0000076293945312"
         assert "%.17g" % HARD_CASES["ties"][1] == "1.0000228881835938"
