@@ -331,17 +331,19 @@ def tomography_sweep(
 ) -> TomogramFit:
     """Weighted fit of v(phi) = v1 cos^2 + v2 sin^2 + v12 sin(2 phi).
 
-    Needs at least five distinct phases spanning at least pi. Requesting all
-    three moments from phases that are all multiples of pi/2 leaves v12
-    unconstrained and raises a degenerate-design error. Moments that make
-    the variance negative at some phase are a fit outcome and raise
-    ``FitError``.
+    Needs finite inputs and at least five distinct phases spanning at least
+    pi. Requesting all three moments from phases that are all multiples of
+    pi/2 leaves v12 unconstrained and raises a degenerate-design error.
+    Moments that make the variance negative at some phase are a fit outcome
+    and raise ``FitError``.
     """
     phases = np.asarray(phases, dtype=float)
     variances = np.asarray(variances, dtype=float)
     errors = np.asarray(errors, dtype=float)
     if phases.shape != variances.shape or phases.shape != errors.shape:
         raise DomainError("phases, variances and errors must have equal lengths")
+    if not np.isfinite((phases, variances, errors)).all():
+        raise DomainError("phases, variances and errors must be finite")
     ordered = np.sort(phases)
     if np.count_nonzero(ordered[1:] != ordered[:-1]) + 1 < 5:
         raise DomainError("tomography needs at least 5 distinct phases")

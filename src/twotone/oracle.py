@@ -9,10 +9,12 @@ Every operator is linear in b and b+, so the Liouvillian follows in one
 pass from their combined moments (A, B, C) rather than operator by operator,
 as nine index shifts of rho[p, q]. Each shift changes the coherence order
 d = p - q by 0 or +-2, so the even parity sector that holds the steady state
-is block tridiagonal in d, and block -d is the conjugate of block d. The
-steady state on a finite Fock space is found by block elimination from the
-outermost order inward to d = 0, built straight from the moments, with
-explicit uniqueness, residual and truncation checks; it provides variances
+is block tridiagonal in d, and block -d is the conjugate of block d. Only
+C is complex, so in the squeezing frame, the mechanical phase rotated by
+arg(C) / 2, every block is real. The steady state on a finite Fock space is
+found in that frame by a float64 block elimination from the outermost order
+inward to d = 0, built straight from the moments, with explicit uniqueness,
+residual and truncation checks, and rotated back; it provides variances
 against which the closed-form and Lyapunov routes are validated. The steady
 state is Gaussian, so its Fock populations, and with them the truncation to
 start from, follow in closed form from the moments. scipy is loaded only to
@@ -117,7 +119,9 @@ class TruncatedState:
 
     Valid states are Hermitian, unit trace within 1e-10, have eigenvalues
     above -1e-10, and for a converged result the top-level population must
-    stay below 1e-6.
+    stay below 1e-6. Positivity is checked by one Cholesky factorization of
+    the Hermitian part shifted by 1e-10; only a failed factorization computes
+    the eigenvalues, which decide and word the error.
     """
 
     rho: NDArray[np.complex128]
@@ -131,9 +135,13 @@ class TruncatedState:
             raise NumericalError(f"state trace {np.trace(rho):.12g} differs from 1")
         if np.max(np.abs(rho - rho.conj().T)) > 1e-9:
             raise NumericalError("state is not Hermitian")
-        eig = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-        if eig.min() < -_EIGENVALUE_TOL:
-            raise NumericalError(f"state has negative eigenvalue {eig.min():.3g}")
+        hermitian = 0.5 * (rho + rho.conj().T)
+        try:
+            np.linalg.cholesky(hermitian + _EIGENVALUE_TOL * np.eye(self.n_trunc))
+        except np.linalg.LinAlgError:
+            smallest = np.linalg.eigvalsh(hermitian)[0]
+            if not smallest >= -_EIGENVALUE_TOL:
+                raise NumericalError(f"state has negative eigenvalue {smallest:.3g}") from None
         rho.flags.writeable = False
         object.__setattr__(self, "rho", rho)
 
@@ -153,14 +161,15 @@ def _lowering(n: int) -> sp.csr_matrix:
     return sp.diags(np.sqrt(np.arange(1, n)), offsets=1, format="csr", dtype=complex)
 
 
-def _bands(A: float, B: float, C: complex, n: int) -> NDArray[np.complex128]:
+def _bands(A: float, B: float, C: complex, n: int) -> NDArray[np.inexact]:
     """Generator entries in the rows of coherence order d = p - q >= 0.
 
     ``bands[k, d, q]`` is L[(p, q), (p + dp, q + dq)] with p = q + d and
     (dp, dq) the k-th of ``_SHIFTS``, for the generator with moments
     (A, B, C) on the truncated space (b b+ = diag(1, ..., N-1, 0)). Rows
     beyond the truncation, and shifts that leave it, hold 0. The rows with
-    d < 0 are the conjugate mirror images (p, q) -> (q, p) of these.
+    d < 0 are the conjugate mirror images (p, q) -> (q, p) of these. The
+    bands are float64 for a real C and complex128 otherwise.
     """
     if n < 2:
         raise DomainError("truncation must be at least 2 to represent the mode")
@@ -232,13 +241,18 @@ class CoherenceBlocks:
       in order 2j - 2.
     - ``norm``: the Frobenius norm of the whole generator, both parity
       sectors and both signs of d.
+    - ``theta``: the mechanical phase of the frame the blocks are written
+      in. Their kernel x_d[q] is e^{i theta d} rho[q + d, q], the state
+      rotated to e^{i theta b+b} rho e^{-i theta b+b}; 0 is the frame of
+      ``build_liouvillian``.
     """
 
     n_trunc: int
-    diagonal: tuple[NDArray[np.complex128], ...]
-    up: NDArray[np.complex128]
-    down: NDArray[np.complex128]
+    diagonal: tuple[NDArray[np.inexact], ...]
+    up: NDArray[np.inexact]
+    down: NDArray[np.inexact]
     norm: float
+    theta: float = 0.0
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -247,23 +261,30 @@ class CoherenceBlocks:
 
 
 def coherence_blocks(d: EffectiveDissipators, n_trunc: int) -> CoherenceBlocks:
-    """The blocks of ``build_liouvillian(d, n_trunc)``, built from the bands.
+    """The blocks of ``build_liouvillian(d, n_trunc)`` in the squeezing frame.
 
-    Each diagonal block is tridiagonal, and each coupling to d +- 2 has the
-    three bands ``up`` and ``down``.
+    Only the moment C is complex, and only the couplings to d +- 2 carry it:
+    ``up`` is proportional to C and ``down`` to conj(C). Rotating the
+    mechanical phase by theta = arg(C) / 2 multiplies them by e^{-i arg C}
+    and e^{+i arg C}, so the blocks are built from (A, B, |C|) and are all
+    float64. Each diagonal block is tridiagonal and holds only A and B, the
+    same in every frame, and each coupling to d +- 2 has the three bands
+    ``up`` and ``down``.
     """
     n = n_trunc
-    bands = _bands(*d.moments(), n)
+    A, B, C = d.moments()
+    bands = _bands(A, B, abs(C), n)
     norm = _both_signs_norm(bands.swapaxes(0, 1))
     even = bands[:, ::2]
     diagonal = []
     for j, m in enumerate(range(n, 0, -2)):
-        block = np.zeros((m, m), dtype=complex)
+        block = np.zeros((m, m))
         block.flat[:: m + 1] = even[0, j, :m]
         block.flat[1 :: m + 1] = even[1, j, : m - 1]
         block.flat[m :: m + 1] = even[2, j, 1:m]
         diagonal.append(block)
-    return CoherenceBlocks(n, tuple(diagonal), even[3:6], even[6:9], norm)
+    theta = float(np.angle(C)) / 2.0
+    return CoherenceBlocks(n, tuple(diagonal), even[3:6], even[6:9], norm, theta)
 
 
 def _generator_blocks(lv: sp.spmatrix) -> CoherenceBlocks:
@@ -328,10 +349,10 @@ def _both_signs_norm(a: NDArray) -> float:
     return float(np.sqrt(2.0 * np.sum(np.abs(a) ** 2) - np.sum(np.abs(a[0]) ** 2)))
 
 
-def _raise_order(up: NDArray[np.complex128], x: NDArray[np.complex128]) -> NDArray[np.complex128]:
+def _raise_order(up: NDArray, x: NDArray) -> NDArray:
     """L_{d, d+2} x for the bands ``up`` of order d and columns x on order d + 2."""
     m = x.shape[0]
-    out = np.zeros((m + 2, x.shape[1]), dtype=complex)
+    out = np.zeros((m + 2, x.shape[1]), dtype=x.dtype)
     for i in range(3):
         out[i : m + i] += up[i, i : m + i, None] * x
     return out
@@ -349,6 +370,15 @@ def steady_state(lv: sp.spmatrix | CoherenceBlocks) -> TruncatedState:
     Hermiticity, so block -d is the conjugate of block d. ``lv`` is either
     the blocks of ``coherence_blocks`` or a sparse generator, which is
     converted to them and must have this structure.
+
+    The elimination runs in the dtype of the blocks: float64 for those of
+    ``coherence_blocks``, which are written in the squeezing frame, and
+    complex128 for a converted generator. The state is then rotated back to
+    the frame of ``build_liouvillian``, rho[q + d, q] = e^{-i theta d} x_d[q]
+    with the blocks' ``theta``; a converted generator has theta = 0. The
+    reduced master equation has no Hamiltonian term, since its drives are
+    resonant: a detuning -i delta [b+b, rho] would put -i delta d on the
+    diagonal blocks and leave the generator complex in every frame.
 
     Block elimination (Golub & Van Loan, Matrix Computations, ch. 4) runs
     from the outermost order inward: W_d = S_d^-1 L_{d,d-2} and
@@ -399,12 +429,13 @@ def steady_state(lv: sp.spmatrix | CoherenceBlocks) -> TruncatedState:
     """
     blocks = lv if isinstance(lv, CoherenceBlocks) else _generator_blocks(lv)
     n, diagonal, up, down = blocks.n_trunc, blocks.diagonal, blocks.up, blocks.down
+    dtype = up.dtype
     top = len(diagonal) - 1
     w = [None] * (top + 1)
     schur = diagonal[top]
     for j in range(top, 0, -1):
         m = n - 2 * j
-        lowered = np.zeros((m, m + 2), dtype=complex)
+        lowered = np.zeros((m, m + 2), dtype=dtype)
         for i in range(3):
             lowered.flat[i :: m + 3] = down[i, j, :m]
         try:
@@ -431,7 +462,7 @@ def steady_state(lv: sp.spmatrix | CoherenceBlocks) -> TruncatedState:
                 "Liouvillian kernel is degenerate: smallest-to-largest singular value "
                 f"ratio {ratio:.3g} of the constrained order-0 Schur complement"
             )
-        x = np.zeros((top + 1, n, 2), dtype=complex)
+        x = np.zeros((top + 1, n, 2), dtype=dtype)
         x[0] = np.linalg.solve(constrained, rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"steady-state solve failed: {exc}") from exc
@@ -450,9 +481,9 @@ def steady_state(lv: sp.spmatrix | CoherenceBlocks) -> TruncatedState:
 
     # the state as returned: real populations, order -d the conjugate of d
     x1[0] = x1[0].real
-    above = np.zeros((top + 2, n + 2), dtype=complex)
+    above = np.zeros((top + 2, n + 2), dtype=dtype)
     above[: top + 1, 2:] = x1
-    below = np.zeros((top + 1, n + 2), dtype=complex)
+    below = np.zeros((top + 1, n + 2), dtype=dtype)
     below[1:, :n] = x1[:-1]
     raised = sum(up[i] * above[1:, 2 - i : n + 2 - i] for i in range(3))
     residual = raised + sum(down[i] * below[:, i : n + i] for i in range(3))
@@ -465,9 +496,10 @@ def steady_state(lv: sp.spmatrix | CoherenceBlocks) -> TruncatedState:
         raise NumericalError(f"steady-state residual {residual:.3g} too large")
 
     j, q = np.nonzero(np.arange(n) + 2 * np.arange(top + 1)[:, None] < n)
+    rotation = np.exp(-2j * blocks.theta * np.arange(top + 1))  # back to theta = 0
     rho = np.zeros((n, n), dtype=complex)
-    rho[q + 2 * j, q] = x1[j, q]
-    rho[q, q + 2 * j] = x1[j, q].conj()
+    rho[q + 2 * j, q] = rotation[j] * x1[j, q]
+    rho[q, q + 2 * j] = rho[q + 2 * j, q].conj()
     state = TruncatedState(rho=rho / np.trace(rho).real, n_trunc=n)
     if state.tail_population > TAIL_THRESHOLD:
         raise TruncationError(
@@ -551,8 +583,8 @@ def gaussian_populations(v: NDArray[np.float64], size: int) -> NDArray[np.float6
 
 
 def _truncation_ladder(n_max: int) -> list[int]:
-    """Truncations to try in turn: 8, then 1.5x steps capped at ``n_max``."""
-    rungs = [8]
+    """Truncations to try in turn: 8 or a smaller ``n_max``, then 1.5x steps capped at it."""
+    rungs = [min(8, n_max)]
     while rungs[-1] < n_max:
         rungs.append(min(n_max, int(np.ceil(1.5 * rungs[-1]))))
     return rungs
@@ -577,12 +609,19 @@ def _predicted_rung(d: EffectiveDissipators, rungs: list[int]) -> int:
 def converged_steady_state(d: EffectiveDissipators, *, n_max: int = 120) -> TruncatedState:
     """Steady state at the first truncation whose tail check passes.
 
-    Truncations follow the ladder 8, then 1.5x steps up to ``n_max``. The
-    search starts at the rung the Gaussian steady state predicts from its
-    populations (``gaussian_populations``); the tail check of
-    ``steady_state`` still decides, and a start that proves too low moves up
-    one rung at a time.
+    Truncations follow the ladder 8, then 1.5x steps up to ``n_max``; an
+    ``n_max`` below 8 is the only rung. The search starts at the rung the
+    Gaussian steady state predicts from its populations
+    (``gaussian_populations``); the tail check of ``steady_state`` still
+    decides, and a start that proves too low moves up one rung at a time.
+
+    Raises
+    ------
+    DomainError
+        If ``n_max`` is below 2, too small to represent the mode.
     """
+    if n_max < 2:
+        raise DomainError("truncation must be at least 2 to represent the mode")
     rungs = _truncation_ladder(n_max)
     for n in rungs[_predicted_rung(d, rungs) :]:
         try:

@@ -228,6 +228,20 @@ class TestTomography:
         with pytest.raises(DomainError):
             tomography_sweep(phases, np.ones_like(phases), np.full_like(phases, 0.1))
 
+    @pytest.mark.parametrize("column", ["phases", "variances", "errors"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, column, bad):
+        # a NaN phase used to pass the distinct-phase and span checks and end
+        # in a bare LinAlgError from the fit
+        inputs = {
+            "phases": np.array([0.0, 0.5, 1.0, 2.0, math.pi, 2.5]),
+            "variances": np.ones(6),
+            "errors": np.full(6, 0.1),
+        }
+        inputs[column][-1] = bad
+        with pytest.raises(DomainError, match="finite"):
+            tomography_sweep(**inputs)
+
     def test_degenerate_design(self):
         phases = np.array([0.0, math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0, 2.0 * math.pi])
         with pytest.raises(DomainError):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.sparse.linalg import norm, splu
@@ -208,6 +208,22 @@ class TestTruncationPrediction:
             converged_steady_state(d, n_max=30)
         assert solved == [8, 12, 18, 27, 30]
 
+    @pytest.mark.parametrize("n_max", [2, 5, 7])
+    def test_budget_below_eight_is_the_only_rung(self, monkeypatch, n_max):
+        solved = record_solves(monkeypatch)
+        vacuum = EffectiveDissipators(gamma_m=1.0, n_thermal=0.0)
+        assert converged_steady_state(vacuum, n_max=n_max).n_trunc == n_max
+        with pytest.raises(TruncationError):
+            converged_steady_state(EffectiveDissipators(gamma_m=1.0, n_thermal=3.0), n_max=n_max)
+        assert solved == [n_max, n_max]
+
+    @pytest.mark.parametrize("n_max", [1, 0, -4])
+    def test_budget_below_two_rejected(self, monkeypatch, n_max):
+        solved = record_solves(monkeypatch)
+        with pytest.raises(DomainError, match="at least 2"):
+            converged_steady_state(EffectiveDissipators(gamma_m=1.0, n_thermal=0.0), n_max=n_max)
+        assert solved == []
+
 
 class TestLiouvillian:
     def test_two_level_decay(self):
@@ -298,6 +314,21 @@ class TestSteadyState:
         rho[1, 1] = -0.2
         with pytest.raises(NumericalError):
             TruncatedState(rho=rho, n_trunc=4)
+
+    @pytest.mark.parametrize("smallest, valid", [(-2e-10, False), (-5e-11, True)])
+    def test_positivity_boundary(self, smallest, valid):
+        # a Hermitian unit-trace state in a random eigenbasis, one eigenvalue
+        # just below zero on either side of the -1e-10 tolerance
+        rng = np.random.default_rng(5)
+        basis, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+        levels = np.array([0.5, 0.3, 0.2 - smallest, 0.0, 0.0, smallest])
+        rho = (basis * levels) @ basis.conj().T
+        rho = 0.5 * (rho + rho.conj().T)
+        if valid:
+            assert TruncatedState(rho=rho, n_trunc=6).n_trunc == 6
+        else:
+            with pytest.raises(NumericalError, match="negative eigenvalue -2e-10"):
+                TruncatedState(rho=rho, n_trunc=6)
 
 
 def jump_generator(rates):
@@ -429,8 +460,16 @@ class TestSectorSolve:
         assert len(built.diagonal) == len(converted.diagonal) == (n_trunc + 1) // 2
         for ours, theirs in zip(built.diagonal, converted.diagonal):
             np.testing.assert_allclose(ours, theirs, rtol=1e-14, atol=0.0)
-        np.testing.assert_allclose(built.up, converted.up, rtol=1e-14, atol=0.0)
-        np.testing.assert_allclose(built.down, converted.down, rtol=1e-14, atol=0.0)
+        # the built blocks are in the squeezing frame, where C is real: rotated
+        # there, the converted couplings take e^{-i arg C} up and e^{+i arg C} down
+        arg_c = np.angle(d.moments()[2])
+        assert (built.theta, converted.theta) == (arg_c / 2.0, 0.0)
+        np.testing.assert_allclose(
+            built.up, converted.up * np.exp(-1j * arg_c), rtol=1e-14, atol=0.0
+        )
+        np.testing.assert_allclose(
+            built.down, converted.down * np.exp(1j * arg_c), rtol=1e-14, atol=0.0
+        )
         assert built.norm == pytest.approx(converted.norm, rel=1e-14)
 
     @pytest.mark.parametrize("detuning", [0.5, -3.0])
@@ -504,6 +543,69 @@ def test_sector_solve_matches_two_factorizations(d, n):
             steady_state(lv)
         return
     np.testing.assert_allclose(steady_state(lv).rho, reference.rho, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=settled_baths, n=st.integers(min_value=2, max_value=16))
+def test_squeezing_frame_solve_matches_the_sparse_generator(d, n):
+    # the real float64 elimination, rotated back, against the complex one of
+    # the lab-frame generator that the sparse path converts
+    blocks = oracle.coherence_blocks(d, n)
+    assert {a.dtype for a in (*blocks.diagonal, blocks.up, blocks.down)} == {np.dtype(np.float64)}
+    lv = build_liouvillian(d, n)
+    try:
+        reference = steady_state(lv)
+    except (NumericalError, TruncationError) as exc:
+        with pytest.raises(type(exc)):
+            steady_state(blocks)
+        return
+    atol = 1e-12 * np.max(np.abs(reference.rho))
+    np.testing.assert_allclose(steady_state(blocks).rho, reference.rho, rtol=0.0, atol=atol)
+
+
+# baths from the vacuum to n_th = 50 and from weak to 3000 gamma_m cooling;
+# rates in units of gamma_m, log-uniform from 1 to 3000
+warm_baths = st.builds(
+    lambda gamma_m, n_thermal, pairs: EffectiveDissipators(
+        gamma_m=gamma_m,
+        n_thermal=n_thermal,
+        engineered=tuple(
+            (
+                math.sqrt(gamma_m * 10.0**e) * np.exp(1j * a),
+                math.sqrt(r * gamma_m * 10.0**e) * np.exp(1j * b),
+            )
+            for e, r, a, b in pairs
+        ),
+    ),
+    gamma_m=st.floats(min_value=0.1, max_value=10.0),
+    n_thermal=st.floats(min_value=0.0, max_value=50.0),
+    pairs=st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=math.log10(3000.0)),
+            st.floats(min_value=0.0, max_value=0.6),
+            st.floats(min_value=0.0, max_value=2.0 * math.pi),
+            st.floats(min_value=0.0, max_value=2.0 * math.pi),
+        ),
+        min_size=1,
+        max_size=2,
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=warm_baths, phi=st.floats(min_value=0.0, max_value=math.pi))
+def test_oracle_matches_the_gaussian_covariance_at_its_truncation(d, phi):
+    cov = gaussian_covariance(d)
+    # within a budget of N = 62 by the Gaussian tail, to keep the solves small
+    assume(gaussian_populations(cov, 62)[-1] < TAIL_THRESHOLD)
+    state = converged_steady_state(d, n_max=62)
+    # the truncation error is absolute in the Fock basis, so it is measured
+    # against the largest variance: a squeezed quadrature near 0.2 misses by
+    # up to 2e-3 of itself at N = 41, and by 4e-4 of the anti-squeezed one
+    scale = np.linalg.eigvalsh(cov)[-1]
+    for angle in (0.0, math.pi / 2.0, phi):
+        u = np.array([math.cos(angle), math.sin(angle)])
+        assert abs(quad_variance(state, angle) - u @ cov @ u) <= 1e-3 * scale
 
 
 class TestQuadVariance:
