@@ -275,14 +275,14 @@ def build_linear_model(cfg: SystemConfig, ds: DriveSet) -> LinearModel:
             channels.append(InputChannel(f"cav{j}_int", j - 1, cav.kappa_int, cav.n_thermal))
     channels.append(InputChannel("mech", 2, cfg.mech.gamma, cfg.mech.n_thermal))
 
-    d = np.zeros((6, 6))
+    # each channel feeds both quadratures of its mode
+    level = np.zeros(3)
     for ch in channels:
-        i = 2 * ch.mode
-        d[i : i + 2, i : i + 2] += ch.rate * ch.variance * np.eye(2)
+        level[ch.mode] += ch.rate * ch.variance
 
     return LinearModel(
         drift=(_QUADRATURES @ c @ _QUADRATURES_INV).real.copy(),
-        diffusion=d,
+        diffusion=np.diag(level.repeat(2)),
         channels=tuple(channels),
         complex_drift=c,
         frame_shifts=(s1, s2, s_b),
@@ -302,7 +302,7 @@ def steady_covariance(m: LinearModel) -> CovarianceMatrix:
     InstabilityError
         If the drift matrix has an eigenvalue with non-negative real part.
     NumericalError
-        If the solver fails or the residual exceeds 1e-10 ||D||.
+        If the solver fails or the residual is not within 1e-10 ||D||.
     """
     max_re = m.max_real_eigenvalue
     if max_re >= 0.0:
@@ -312,15 +312,17 @@ def steady_covariance(m: LinearModel) -> CovarianceMatrix:
     try:
         n = m.drift.shape[0]
         eye = np.eye(n)
-        kron_sum = np.kron(eye, m.drift) + np.kron(m.drift, eye)
-        v = np.linalg.solve(kron_sum, -m.diffusion.ravel()).reshape(n, n)
+        # I (x) A + A (x) I, entry ((i, k), (j, l)) = I_ij A_kl + A_ij I_kl
+        kron_sum = np.multiply(eye[:, None, :, None], m.drift[None, :, None, :])
+        kron_sum += m.drift[:, None, :, None] * eye[None, :, None, :]
+        v = np.linalg.solve(kron_sum.reshape(n * n, n * n), -m.diffusion.ravel()).reshape(n, n)
     except np.linalg.LinAlgError as exc:
         cond = np.linalg.cond(m.drift)
         raise NumericalError(f"Lyapunov solve failed (cond(A) = {cond:.3g})") from exc
     v = 0.5 * (v + v.T)
     residual = np.linalg.norm(m.drift @ v + v @ m.drift.T + m.diffusion)
     bound = _LYAPUNOV_RESIDUAL_RTOL * np.linalg.norm(m.diffusion)
-    if residual > bound:
+    if not residual <= bound:  # a NaN residual fails too
         raise NumericalError(
             f"Lyapunov residual {residual:.3g} exceeds {bound:.3g} "
             f"(cond(A) = {np.linalg.cond(m.drift):.3g})"
@@ -579,22 +581,39 @@ def transparency_window_fwhm(cfg: SystemConfig, ds: DriveSet, probe_cavity: int)
         [edge.real, edge.imag, 0.0, 0.0, d0.real, d0.imag, grid[peak], width_guess]
     )
 
+    n = grid.size
+
     def residuals(p):
         c0 = p[0] + 1j * p[1]
         c1 = p[2] + 1j * p[3]
         d = p[4] + 1j * p[5]
         model = c0 + c1 * grid + d / (-1j * (grid - p[6]) + p[7] / 2.0)
-        diff = model - s11
-        return np.concatenate([diff.real, diff.imag])
+        diff = np.empty(2 * n)  # new on every call, as the solver requires
+        np.subtract(model.real, s11.real, out=diff[:n])
+        np.subtract(model.imag, s11.imag, out=diff[n:])
+        return diff
 
+    # the transposed Jacobian, real parts then imaginary parts: the rows of
+    # c0 and c1 are constant and written once, each call writes the four of
+    # D, w0 and fwhm
+    jt = np.empty((8, 2 * n))
     ones = np.ones_like(grid)
+    constant_rows = np.stack([ones, 1j * ones, grid, 1j * grid])
+    jt[:4, :n], jt[:4, n:] = constant_rows.real, constant_rows.imag
+    pole_rows = np.empty((4, n), dtype=complex)
+    inv, turned, moved, widened = pole_rows
+    pole = np.empty(n, dtype=complex)
 
     def jacobian(p):
         d = p[4] + 1j * p[5]
-        inv = 1.0 / (-1j * (grid - p[6]) + p[7] / 2.0)
-        pole = d * inv * inv
-        rows = np.stack([ones, 1j * ones, grid, 1j * grid, inv, 1j * inv, -1j * pole, -0.5 * pole])
-        return np.concatenate([rows.real, rows.imag], axis=1)
+        np.divide(1.0, -1j * (grid - p[6]) + p[7] / 2.0, out=inv)
+        np.multiply(1j, inv, out=turned)
+        np.multiply(d, inv, out=pole)
+        np.multiply(pole, inv, out=pole)
+        np.multiply(-1j, pole, out=moved)
+        np.multiply(-0.5, pole, out=widened)
+        jt[4:, :n], jt[4:, n:] = pole_rows.real, pole_rows.imag
+        return jt
 
     p, info = levenberg_marquardt(
         residuals, jacobian, p0, ftol=1e-14, xtol=1e-14, gtol=1e-14, maxfev=100 * p0.size

@@ -181,20 +181,27 @@ def fit_lorentzian(
         return (lorentzian(freq, *params(theta)) - y) / err
 
     weight = 1.0 / err
+    # the transposed Jacobian, one row per floating parameter; the background
+    # row is constant and written once, each call writes the others
+    jt = np.empty((len(free), len(y)))
+    row = dict(zip(free, jt))
+    if "background" in row:
+        row["background"][:] = weight
 
     def jacobian(theta):
         center, fwhm, area, _ = params(theta)
         offset = freq - center
-        inv = 1.0 / (offset**2 + fwhm**2 / 4.0)
+        square, quarter = offset**2, fwhm**2 / 4.0
+        inv = 1.0 / (square + quarter)
         weighted = weight * inv
         peak = area * inv * weighted
-        rows = {
-            "center": lambda: (2.0 * fwhm) * offset * peak,
-            "fwhm": lambda: (offset**2 - fwhm**2 / 4.0) * peak,
-            "area": lambda: fwhm * weighted,
-            "background": lambda: weight,
-        }
-        return np.stack([rows[name]() for name in free])
+        if "center" in row:
+            np.multiply((2.0 * fwhm) * offset, peak, out=row["center"])
+        if "fwhm" in row:
+            np.multiply(square - quarter, peak, out=row["fwhm"])
+        if "area" in row:
+            np.multiply(fwhm, weighted, out=row["area"])
+        return jt
 
     popt, info = levenberg_marquardt(
         residuals,

@@ -35,7 +35,11 @@ def levenberg_marquardt(
     """Minimize ||fun(x)||^2 from ``x0``.
 
     ``jac(x)`` returns the transposed Jacobian, k x m with one row per
-    parameter (MINPACK's ``col_deriv``), which numpy reduces faster.
+    parameter (MINPACK's ``col_deriv``), which numpy reduces faster. It may
+    return the same array, overwritten, on every call: the solver uses each
+    Jacobian only until it next calls ``jac``. ``fun(x)`` must return a new
+    array on every call, because the solver keeps the residual of the
+    accepted point while it evaluates trial steps.
 
     Returns the solution and MINPACK's info code: 1 the relative reduction
     of the sum of squares is at most ``ftol`` (actual and predicted), 2 the

@@ -117,11 +117,11 @@ class EffectiveDissipators:
 class TruncatedState:
     """Density matrix on a Fock space of dimension ``n_trunc``.
 
-    Valid states are Hermitian, unit trace within 1e-10, have eigenvalues
-    above -1e-10, and for a converged result the top-level population must
-    stay below 1e-6. Positivity is checked by one Cholesky factorization of
-    the Hermitian part shifted by 1e-10; only a failed factorization computes
-    the eigenvalues, which decide and word the error.
+    Valid states are finite, Hermitian, unit trace within 1e-10, have
+    eigenvalues above -1e-10, and for a converged result the top-level
+    population must stay below 1e-6. Positivity is checked by one Cholesky
+    factorization of the Hermitian part shifted by 1e-10; only a failed
+    factorization computes the eigenvalues, which decide and word the error.
     """
 
     rho: NDArray[np.complex128]
@@ -131,6 +131,8 @@ class TruncatedState:
         rho = np.asarray(self.rho, dtype=complex)
         if rho.shape != (self.n_trunc, self.n_trunc):
             raise DomainError("density matrix shape does not match truncation")
+        if not np.isfinite(rho).all():
+            raise NumericalError("state holds a non-finite entry")
         if abs(np.trace(rho).real - 1.0) > _TRACE_TOL or abs(np.trace(rho).imag) > _TRACE_TOL:
             raise NumericalError(f"state trace {np.trace(rho):.12g} differs from 1")
         if np.max(np.abs(rho - rho.conj().T)) > 1e-9:
@@ -278,11 +280,12 @@ def coherence_blocks(d: EffectiveDissipators, n_trunc: int) -> CoherenceBlocks:
     even = bands[:, ::2]
     diagonal = []
     for j, m in enumerate(range(n, 0, -2)):
-        block = np.zeros((m, m))
-        block.flat[:: m + 1] = even[0, j, :m]
-        block.flat[1 :: m + 1] = even[1, j, : m - 1]
-        block.flat[m :: m + 1] = even[2, j, 1:m]
-        diagonal.append(block)
+        # tridiagonal: main, upper and lower diagonal by stride m + 1
+        flat = np.zeros(m * m)
+        flat[:: m + 1] = even[0, j, :m]
+        flat[1 :: m + 1] = even[1, j, : m - 1]
+        flat[m :: m + 1] = even[2, j, 1:m]
+        diagonal.append(flat.reshape(m, m))
     theta = float(np.angle(C)) / 2.0
     return CoherenceBlocks(n, tuple(diagonal), even[3:6], even[6:9], norm, theta)
 
@@ -492,7 +495,7 @@ def steady_state(lv: sp.spmatrix | CoherenceBlocks) -> TruncatedState:
         residual[j, : n - 2 * j] += block @ x1[j, : n - 2 * j]
     residual = _both_signs_norm(residual)
     scale = blocks.norm * _both_signs_norm(x1)
-    if residual > 1e-9 * max(scale, 1.0):
+    if not residual <= 1e-9 * max(scale, 1.0):  # a NaN residual or norm fails too
         raise NumericalError(f"steady-state residual {residual:.3g} too large")
 
     j, q = np.nonzero(np.arange(n) + 2 * np.arange(top + 1)[:, None] < n)

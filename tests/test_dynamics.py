@@ -186,6 +186,13 @@ class TestSteadyCovariance:
             assert lyap.v2 == pytest.approx(closed.v2, rel=0.01)
             assert lyap.v12 == pytest.approx(closed.v12, abs=0.01 * closed.v2)
 
+    def test_nan_residual_rejected(self, cfg, cooling_529):
+        model = build_linear_model(cfg, cooling_529)
+        diffusion = model.diffusion.copy()
+        diffusion[4, 4] = np.nan
+        with pytest.raises(NumericalError, match="Lyapunov residual nan"):
+            steady_covariance(dataclasses.replace(model, diffusion=diffusion))
+
     def test_residual_is_small(self, cfg, squeeze_007):
         model = build_linear_model(cfg, squeeze_007)
         v = steady_covariance(model)

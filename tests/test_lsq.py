@@ -168,6 +168,35 @@ class TestSolver:
         assert info in (1, 2, 3, 4)
         np.testing.assert_allclose(x, np.linalg.lstsq(a, b, rcond=None)[0], rtol=1e-10)
 
+    def test_jacobian_may_reuse_one_buffer(self):
+        # a decay on a background, fitted over several Jacobians: a jac that
+        # overwrites one array takes the solver down the same iterates
+        rng = np.random.default_rng(2)
+        t = np.linspace(0.0, 4.0, 60)
+        y = 3.0 * np.exp(-1.3 * t) + 0.5 + 0.01 * rng.standard_normal(t.size)
+
+        def fun(x):
+            return x[0] * np.exp(-x[1] * t) + x[2] - y
+
+        def fresh(x):
+            decay = np.exp(-x[1] * t)
+            return np.stack([decay, -x[0] * t * decay, np.ones_like(t)])
+
+        buffer = np.empty((3, t.size))
+        calls = []
+
+        def reused(x):
+            calls.append(1)
+            buffer[...] = fresh(x)
+            return buffer
+
+        tolerances = dict(ftol=1e-14, xtol=1e-14, maxfev=1000)
+        x, info = levenberg_marquardt(fun, fresh, [1.0, 0.2, 0.0], **tolerances)
+        x_reused, info_reused = levenberg_marquardt(fun, reused, [1.0, 0.2, 0.0], **tolerances)
+        assert len(calls) > 3
+        assert info_reused == info and info in (1, 2, 3, 4)
+        assert x_reused.tobytes() == x.tobytes()
+
     def test_evaluation_budget_is_reported(self):
         # Rosenbrock from its standard start needs more than three evaluations
         def fun(x):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -314,6 +315,19 @@ class TestSteadyState:
         rho[1, 1] = -0.2
         with pytest.raises(NumericalError):
             TruncatedState(rho=rho, n_trunc=4)
+
+    def test_state_with_nan_rejected(self):
+        # NaN compares false in the trace, Hermiticity and Cholesky checks alike
+        rho = np.eye(3, dtype=complex) / 3.0
+        rho[1, 2] = rho[2, 1] = np.nan
+        with pytest.raises(NumericalError, match="non-finite"):
+            TruncatedState(rho=rho, n_trunc=3)
+
+    def test_nan_generator_norm_fails_the_residual_check(self):
+        blocks = oracle.coherence_blocks(EffectiveDissipators(gamma_m=1.0, n_thermal=0.2), 12)
+        assert steady_state(blocks).n_trunc == 12
+        with pytest.raises(NumericalError, match="steady-state residual .* too large"):
+            steady_state(dataclasses.replace(blocks, norm=math.nan))
 
     @pytest.mark.parametrize("smallest, valid", [(-2e-10, False), (-5e-11, True)])
     def test_positivity_boundary(self, smallest, valid):

@@ -7,6 +7,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import device_drive_set, dissipators, resonant_pairs
 from twotone.analytic import quadrature_variances, variance_of_phase
 from twotone.dynamics import (
     _resolvent_solve,
@@ -16,40 +17,8 @@ from twotone.dynamics import (
     steady_covariance,
 )
 from twotone.oracle import EffectiveDissipators, build_liouvillian, gaussian_covariance
-from twotone.sysmodel import DriveSet, drive_pair
+from twotone.sysmodel import DriveSet
 from twotone.tables import write_csv
-
-coefficient = st.complex_numbers(max_magnitude=30.0, allow_nan=False, allow_infinity=False)
-
-dissipators = st.builds(
-    EffectiveDissipators,
-    gamma_m=st.floats(min_value=0.01, max_value=10.0),
-    n_thermal=st.floats(min_value=0.0, max_value=50.0),
-    engineered=st.lists(st.tuples(coefficient, coefficient), max_size=3).map(tuple),
-)
-
-angle = st.floats(min_value=0.0, max_value=math.pi)
-
-# A squeezing pair on cavity 2 and an unbalanced pair on cavity 1, both on
-# resonance: (G-, G+/G-, angle, Gmeas-/G-, Gmeas+/Gmeas-, angle) with rates in
-# units of the mechanical damping. Every pair damps, so the steady state exists.
-resonant_pairs = st.tuples(
-    st.floats(min_value=30.0, max_value=2000.0),
-    st.floats(min_value=0.0, max_value=0.9),
-    angle,
-    st.floats(min_value=0.0, max_value=1.0),
-    st.floats(min_value=0.0, max_value=1.0),
-    angle,
-)
-
-
-def device_drive_set(mech, g_minus, plus_ratio, theta, meas_ratio, meas_plus, phi):
-    rate = g_minus * mech.gamma
-    return DriveSet(
-        drive_pair(2, rate, plus_ratio * rate, angle=theta)
-        + drive_pair(1, meas_ratio * rate, meas_plus * meas_ratio * rate, angle=phi)
-    )
-
 
 ANGLES = np.linspace(0.0, math.pi, 7)
 
