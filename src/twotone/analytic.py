@@ -43,13 +43,6 @@ class QuadratureMoments:
                 f"v1 v2 - v12^2 = {self.v1 * self.v2 - self.v12 ** 2:.6g} < 1"
             )
 
-    @property
-    def occupancy(self) -> float:
-        return occupancy_from_variances(self)
-
-    def variance_at(self, phi: float) -> float:
-        return variance_of_phase(self, phi)
-
 
 @dataclass(frozen=True)
 class BathParams:

@@ -144,8 +144,10 @@ def parse_backaction_params(raw: dict, path: str) -> dict:
     """``scenario.params`` of ``backaction_sweep``."""
     _check_keys(raw, {"ratios", "pair_detuning_hz", "points"}, path)
     ratios = _rate_ratios(_require(raw, "ratios", path), f"{path}.ratios")
-    if len(ratios) < 2:
-        raise ConfigError(f"{path}.ratios needs at least two values for the backaction line fit")
+    if len(set(ratios)) < 2:
+        raise ConfigError(
+            f"{path}.ratios needs at least two distinct values for the backaction line fit"
+        )
     detuning = _number(_require(raw, "pair_detuning_hz", path), f"{path}.pair_detuning_hz")
     if not 0.0 < detuning < math.inf:
         raise ConfigError(f"{path}.pair_detuning_hz must be positive and finite, got {detuning}")

@@ -451,8 +451,11 @@ def backaction_line_fit(ratios, values, sigmas) -> LineFit:
     a = design / s[:, None]
     b = y / s
     gram = a.T @ a
-    beta = np.linalg.solve(gram, a.T @ b)
-    cov = np.linalg.inv(gram)
+    try:
+        beta = np.linalg.solve(gram, a.T @ b)
+        cov = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:
+        raise DomainError("line fit design is singular: the ratios must not all be equal") from None
     resid = (design @ beta - y) / s
     chi2 = float(np.sum(resid**2) / max(x.size - 2, 1))
     return LineFit(
@@ -479,28 +482,20 @@ class EvasionReport:
 def backaction_evasion_report(
     qnd_v1: float,
     qnd_v1_err: float,
-    nonqnd_occupancies,
+    line: LineFit,
     gamma_ratio: float,
 ) -> EvasionReport:
     """Backaction evasion in dB at one measurement strength.
 
     The reference variance without measurement, 2 n_m + 1, comes from the
-    zero-strength intercept of the swept occupancies (rows of
-    (gamma_ratio, n_tot, sigma)). The injected backaction is n_ba =
-    gamma_ratio, which would raise the variance by 2 n_ba if not evaded;
+    zero-strength intercept of ``line``, the ``backaction_line_fit`` of the
+    swept occupancies. The injected backaction is n_ba = gamma_ratio, which
+    would raise the variance by 2 n_ba if not evaded;
     evasion_db = 10 log10(2 n_ba / max(delta_v1, its uncertainty)), reported
     as a lower bound whenever the excess is consistent with zero.
     """
     if gamma_ratio <= 0:
         raise DomainError("evasion is undefined at zero measurement strength")
-    rows = list(nonqnd_occupancies)
-    if len(rows) < 2:
-        raise DomainError(
-            "the zero-strength reference requires at least two swept occupancies"
-        )
-    line = backaction_line_fit(
-        [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows]
-    )
     v1_reference = 2.0 * line.intercept + 1.0
     delta_v1 = qnd_v1 - v1_reference
     delta_err = math.sqrt(qnd_v1_err**2 + (2.0 * line.intercept_err) ** 2)

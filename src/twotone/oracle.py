@@ -17,8 +17,8 @@ inward to d = 0, built straight from the moments, with explicit uniqueness,
 residual and truncation checks, and rotated back; it provides variances
 against which the closed-form and Lyapunov routes are validated. The steady
 state is Gaussian, so its Fock populations, and with them the truncation to
-start from, follow in closed form from the moments. scipy is loaded only to
-return sparse matrices, such as the generator of ``build_liouvillian``.
+start from, follow in closed form from the moments. scipy is loaded only by
+``build_liouvillian``, which returns the generator as a sparse matrix.
 """
 
 from __future__ import annotations
@@ -41,9 +41,6 @@ _TRACE_TOL = 1e-10
 # complement at or below which the kernel counts as degenerate
 _SINGULAR_RATIO = 1e-12
 _EIGENVALUE_TOL = 1e-10
-# largest |L[(p, q), (p', q')] - conj L[(q, p), (q', p')]|, relative to the
-# largest entry, that still counts as preserving Hermiticity
-_MIRROR_TOL = 1e-12
 # (dp, dq) of the index shifts L[(p, q), (p + dp, q + dq)] of a generator
 # quadratic in b and b+: within the coherence order d = p - q, to d + 2 with
 # q shifted by 0, -1, -2, and to d - 2 with q shifted by 0, +1, +2
@@ -156,13 +153,6 @@ class TruncatedState:
         return float(self.rho[-1, -1].real)
 
 
-def _lowering(n: int) -> sp.csr_matrix:
-    """Truncated lowering operator b as a sparse matrix, for reference builds."""
-    import scipy.sparse as sp
-
-    return sp.diags(np.sqrt(np.arange(1, n)), offsets=1, format="csr", dtype=complex)
-
-
 def _bands(A: float, B: float, C: complex, n: int) -> NDArray[np.inexact]:
     """Generator entries in the rows of coherence order d = p - q >= 0.
 
@@ -209,8 +199,8 @@ def build_liouvillian(d: EffectiveDissipators, n_trunc: int) -> sp.csr_matrix:
     (A, B, C) of ``EffectiveDissipators.moments`` and L into nine index
     shifts, those of ``_bands``. The products are those of the truncated
     matrices (b b+ = diag(1, ..., N-1, 0)), so the representation is exact
-    on the truncated space. The solve itself works on ``coherence_blocks``
-    and needs no scipy; this sparse matrix serves tests and other callers.
+    on the truncated space. The solve takes ``coherence_blocks`` and needs
+    no scipy; this sparse matrix serves as an independent reference.
     """
     import scipy.sparse as sp
 
@@ -246,7 +236,7 @@ class CoherenceBlocks:
     - ``theta``: the mechanical phase of the frame the blocks are written
       in. Their kernel x_d[q] is e^{i theta d} rho[q + d, q], the state
       rotated to e^{i theta b+b} rho e^{-i theta b+b}; 0 is the frame of
-      ``build_liouvillian``.
+      ``build_liouvillian``, the lab frame.
     """
 
     n_trunc: int
@@ -254,12 +244,7 @@ class CoherenceBlocks:
     up: NDArray[np.inexact]
     down: NDArray[np.inexact]
     norm: float
-    theta: float = 0.0
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        """Shape of the generator the blocks belong to."""
-        return (self.n_trunc**2, self.n_trunc**2)
+    theta: float
 
 
 def coherence_blocks(d: EffectiveDissipators, n_trunc: int) -> CoherenceBlocks:
@@ -290,63 +275,6 @@ def coherence_blocks(d: EffectiveDissipators, n_trunc: int) -> CoherenceBlocks:
     return CoherenceBlocks(n, tuple(diagonal), even[3:6], even[6:9], norm, theta)
 
 
-def _generator_blocks(lv: sp.spmatrix) -> CoherenceBlocks:
-    """Blocks of a sparse generator on column-stacked density matrices.
-
-    Raises
-    ------
-    DomainError
-        If the size is not a perfect square, or ``lv`` lacks the parity
-        structure of a generator quadratic in b and b+: it couples orders d
-        and d' with d' - d odd (the two parity sectors) or beyond +-2, couples
-        d and d +- 2 outside the three bands, or does not preserve
-        Hermiticity, L[(p, q), (p', q')] = conj L[(q, p), (q', p')].
-    """
-    size = lv.shape[0]
-    n = int(round(np.sqrt(size)))
-    if n * n != size:
-        raise DomainError("Liouvillian size is not a perfect square")
-    coo = lv.tocoo(copy=True)
-    coo.sum_duplicates()
-    nonzero = coo.data != 0
-    row, col, val = coo.row[nonzero], coo.col[nonzero], coo.data[nonzero]
-    p, q, p_to, q_to = row % n, row // n, col % n, col // n
-    step = (p_to - q_to) - (p - q)
-    if np.any(step % 2):
-        raise DomainError("Liouvillian couples the even and odd parity sectors")
-    offset = q_to - q
-    coupling = step != 0
-    if np.any(np.abs(step) > 2) or np.any(coupling & ((step * offset > 0) | (np.abs(offset) > 2))):
-        raise DomainError(
-            "Liouvillian lacks the parity structure of a generator quadratic in b and "
-            "b+: it is not block tridiagonal in the coherence order with three-band couplings"
-        )
-    key = row * size + col
-    mirror = (q + p * n) * size + (q_to + p_to * n)
-    by_key, by_mirror = np.argsort(key), np.argsort(mirror)
-    if not np.array_equal(key[by_key], mirror[by_mirror]) or np.any(
-        np.abs(val[by_key] - np.conj(val[by_mirror]))
-        > _MIRROR_TOL * np.max(np.abs(val), initial=0.0)
-    ):
-        raise DomainError(
-            "Liouvillian does not preserve Hermiticity, which its parity-sector "
-            "solve relies on"
-        )
-
-    order = p - q
-    sector = (order >= 0) & (order % 2 == 0)
-    j, orders = order // 2, (n + 1) // 2
-    within, raised, lowered = (sector & (step == s) for s in (0, 2, -2))
-    padded = np.zeros((orders, n, n), dtype=complex)
-    padded[j[within], q[within], q_to[within]] = val[within]
-    up = np.zeros((3, orders, n), dtype=complex)
-    up[-offset[raised], j[raised], q[raised]] = val[raised]
-    down = np.zeros((3, orders, n), dtype=complex)
-    down[offset[lowered], j[lowered], q[lowered]] = val[lowered]
-    diagonal = tuple(padded[k, : n - 2 * k, : n - 2 * k] for k in range(orders))
-    return CoherenceBlocks(n, diagonal, up, down, float(np.linalg.norm(val)))
-
-
 def _both_signs_norm(a: NDArray) -> float:
     """2-norm of the entries a[d, ...] of orders d >= 0 and their mirrors at -d."""
     return float(np.sqrt(2.0 * np.sum(np.abs(a) ** 2) - np.sum(np.abs(a[0]) ** 2)))
@@ -361,7 +289,7 @@ def _raise_order(up: NDArray, x: NDArray) -> NDArray:
     return out
 
 
-def steady_state(lv: sp.spmatrix | CoherenceBlocks) -> TruncatedState:
+def steady_state(blocks: CoherenceBlocks) -> TruncatedState:
     """Normalized kernel vector of the Liouvillian as a density matrix.
 
     Every collapse operator is linear in b and b+, so each term of the
@@ -370,15 +298,14 @@ def steady_state(lv: sp.spmatrix | CoherenceBlocks) -> TruncatedState:
     The trace functional lives in the even sector, so only that sector is
     solved and the odd entries of the state are zero. Ordered by d, the
     even sector is block tridiagonal, and the generator preserves
-    Hermiticity, so block -d is the conjugate of block d. ``lv`` is either
-    the blocks of ``coherence_blocks`` or a sparse generator, which is
-    converted to them and must have this structure.
+    Hermiticity, so block -d is the conjugate of block d; ``blocks`` holds
+    that sector, as ``coherence_blocks`` builds it.
 
-    The elimination runs in the dtype of the blocks: float64 for those of
-    ``coherence_blocks``, which are written in the squeezing frame, and
-    complex128 for a converted generator. The state is then rotated back to
-    the frame of ``build_liouvillian``, rho[q + d, q] = e^{-i theta d} x_d[q]
-    with the blocks' ``theta``; a converted generator has theta = 0. The
+    The elimination runs in the common dtype of all the blocks: float64 for
+    those of ``coherence_blocks``, which are written in the squeezing frame,
+    and complex128 as soon as one block is complex. The state is then
+    rotated back to the frame of ``build_liouvillian``,
+    rho[q + d, q] = e^{-i theta d} x_d[q] with the blocks' ``theta``. The
     reduced master equation has no Hamiltonian term, since its drives are
     resonant: a detuning -i delta [b+b, rho] would put -i delta d on the
     diagonal blocks and leave the generator complex in every frame.
@@ -422,17 +349,13 @@ def steady_state(lv: sp.spmatrix | CoherenceBlocks) -> TruncatedState:
 
     Raises
     ------
-    DomainError
-        If a sparse ``lv`` is not a square Liouvillian with the parity
-        structure above.
     NumericalError
         If the kernel is degenerate or the solve fails.
     TruncationError
         If the top-level population exceeds ``TAIL_THRESHOLD``.
     """
-    blocks = lv if isinstance(lv, CoherenceBlocks) else _generator_blocks(lv)
     n, diagonal, up, down = blocks.n_trunc, blocks.diagonal, blocks.up, blocks.down
-    dtype = up.dtype
+    dtype = np.result_type(up, down, *diagonal)
     top = len(diagonal) - 1
     w = [None] * (top + 1)
     schur = diagonal[top]

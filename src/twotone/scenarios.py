@@ -297,7 +297,7 @@ def _run_backaction_sweep(run: _Run, ds: DriveSet, params: dict) -> None:
     evasion = backaction_evasion_report(
         qnd_v1=float(data[top, 5]),
         qnd_v1_err=float(data[top, 6]),
-        nonqnd_occupancies=[(r[0], r[3], r[4]) for r in rows],
+        line=line,
         gamma_ratio=float(data[top, 0]),
     )
     run.record(

@@ -122,11 +122,6 @@ class Cavity:
     def external_fraction(self) -> float:
         return self.kappa_ext / self.kappa
 
-    @property
-    def input_variance(self) -> float:
-        """Quadrature variance of the cavity input field, 2 n + 1."""
-        return 2.0 * self.n_thermal + 1.0
-
 
 @dataclass(frozen=True)
 class SystemConfig:

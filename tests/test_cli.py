@@ -218,6 +218,7 @@ class TestExitCodes:
             ("backaction_sweep.json", {"ratios": [float("nan"), 0.1]}),
             ("backaction_sweep.json", {"ratios": [0.1, float("inf")]}),
             ("backaction_sweep.json", {"ratios": [0.1]}),
+            ("backaction_sweep.json", {"ratios": [1.0, 1.0]}),
             ("backaction_sweep.json", {"pair_detuning_hz": 0}),
             ("backaction_sweep.json", {"pair_detuning_hz": -5e4}),
             ("backaction_sweep.json", {"points": 1}),

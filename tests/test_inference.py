@@ -304,17 +304,22 @@ class TestBackactionLine:
         with pytest.raises(DomainError):
             backaction_line_fit([1.0], [1.0], [0.1])
 
+    def test_equal_ratios_rejected(self):
+        # two points at one ratio leave the slope undetermined
+        with pytest.raises(DomainError, match="singular"):
+            backaction_line_fit([1.0, 1.0], [1.0, 1.1], [0.1, 0.1])
+
 
 class TestEvasionReport:
-    def reference_rows(self, sigma=1e-6):
-        ratios = [0.1, 0.5, 1.0, 2.0]
-        return [(r, 0.0792 + r, sigma) for r in ratios]
+    def reference_line(self, sigma=1e-6):
+        ratios = np.array([0.1, 0.5, 1.0, 2.0])
+        return backaction_line_fit(ratios, 0.0792 + ratios, np.full_like(ratios, sigma))
 
     def test_lower_bound_structure(self):
         report = backaction_evasion_report(
             qnd_v1=2.0 * 0.0792 + 1.0,
             qnd_v1_err=0.22,
-            nonqnd_occupancies=self.reference_rows(),
+            line=self.reference_line(),
             gamma_ratio=2.44,
         )
         assert report.is_lower_bound
@@ -326,7 +331,7 @@ class TestEvasionReport:
         report = backaction_evasion_report(
             qnd_v1=(2.0 * 0.0792 + 1.0) + 2.0 * n_ba,
             qnd_v1_err=1e-6,
-            nonqnd_occupancies=self.reference_rows(),
+            line=self.reference_line(),
             gamma_ratio=n_ba,
         )
         assert not report.is_lower_bound
@@ -334,11 +339,11 @@ class TestEvasionReport:
 
     def test_zero_strength_rejected(self):
         with pytest.raises(DomainError):
-            backaction_evasion_report(1.0, 0.1, self.reference_rows(), 0.0)
+            backaction_evasion_report(1.0, 0.1, self.reference_line(), 0.0)
 
     def test_missing_reference_rejected(self):
         with pytest.raises(DomainError):
-            backaction_evasion_report(1.0, 0.1, [(1.0, 1.08, 0.01)], 1.0)
+            backaction_evasion_report(1.0, 0.1, backaction_line_fit([1.0], [1.08], [0.01]), 1.0)
 
 
 class TestRecords:
