@@ -218,7 +218,6 @@ class TestExitCodes:
             ("backaction_sweep.json", {"ratios": [float("nan"), 0.1]}),
             ("backaction_sweep.json", {"ratios": [0.1, float("inf")]}),
             ("backaction_sweep.json", {"ratios": [0.1]}),
-            ("backaction_sweep.json", {"ratios": [1.0, 1.0]}),
             ("backaction_sweep.json", {"pair_detuning_hz": 0}),
             ("backaction_sweep.json", {"pair_detuning_hz": -5e4}),
             ("backaction_sweep.json", {"points": 1}),
@@ -227,6 +226,7 @@ class TestExitCodes:
             ("squeeze_sweep.json", {"measurement_ratio": float("nan")}),
             ("tomography.json", {"measurement_ratio": -0.3}),
             ("driven_response.json", {"points": 0}),
+            ("backaction_sweep.json", {"ratios": [1.0, 1.0]}),
         ],
     )
     def test_bad_sweep_value_exits_two_before_any_artifact(self, tmp_path, capsys, name, params):

@@ -462,8 +462,35 @@ def generator_rows(blocks):
     )
 
 
+def assert_rows_of_the_generator(blocks, lv):
+    """``generator_rows(blocks)`` are the even-sector rows of ``lv``, entry for entry.
+
+    Same sparsity pattern, values and norm to rtol 1e-14; the odd sector is
+    not part of the blocks, so its rows of ``lv`` are left out.
+    """
+    n = blocks.n_trunc
+    index = np.arange(n**2)
+    even = (index % n + index // n) % 2 == 0
+    rows = sp.diags(even.astype(float)) @ lv
+    converted = generator_rows(blocks)
+    assert converted.shape == rows.shape
+    for m in (converted, rows):
+        m.eliminate_zeros()
+        m.sort_indices()
+    np.testing.assert_array_equal(converted.indptr, rows.indptr)
+    np.testing.assert_array_equal(converted.indices, rows.indices)
+    np.testing.assert_allclose(converted.data, rows.data, rtol=1e-14, atol=0.0)
+    assert blocks.norm == pytest.approx(norm(lv), rel=1e-14)
+
+
 class TestSectorSolve:
     """One LU of the even parity sector against the two-factorization reference."""
+
+    @pytest.mark.parametrize("case", ["linked", "drained"])
+    def test_jump_blocks_are_the_jump_generator(self, case):
+        # the jump cases solve these blocks against SuperLU on the generator
+        rates = linked_two_block_rates(1e-2, 0) if case == "linked" else drained_two_block_rates(4)
+        assert_rows_of_the_generator(jump_blocks(rates), jump_generator(rates))
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("eps", [1e-2, 1e-4])
@@ -533,18 +560,7 @@ class TestSectorSolve:
         # back to theta = 0 and converted to rows, they are those of the generator
         assert built.theta == np.angle(d.moments()[2]) / 2.0
         lv = build_liouvillian(d, n_trunc)
-        index = np.arange(n_trunc**2)
-        even = (index % n_trunc + index // n_trunc) % 2 == 0
-        rows = sp.diags(even.astype(float)) @ lv  # the odd sector is not part of the blocks
-        converted = generator_rows(lab_frame(built))
-        assert converted.shape == rows.shape
-        for m in (converted, rows):
-            m.eliminate_zeros()
-            m.sort_indices()
-        np.testing.assert_array_equal(converted.indptr, rows.indptr)
-        np.testing.assert_array_equal(converted.indices, rows.indices)
-        np.testing.assert_allclose(converted.data, rows.data, rtol=1e-14, atol=0.0)
-        assert built.norm == pytest.approx(norm(lv), rel=1e-14)
+        assert_rows_of_the_generator(lab_frame(built), lv)
 
     @pytest.mark.parametrize("detuning", [0.5, -3.0])
     def test_detuned_bath_agrees(self, detuning):
