@@ -20,6 +20,12 @@ from .errors import ConfigError
 from .sysmodel import TWO_PI, Cavity, Drive, DriveSet, MechanicalMode, SystemConfig
 from .synthesis import NoiseModel
 
+# Smallest spread (max - min) of the backaction ratios, as a share of the
+# largest. The line fit solves the normal equations, whose condition number
+# grows as the inverse square of the spread: at this spread a two-point slope
+# is still exact to about 1e-7, and near 1e-9 its covariance turns negative.
+MIN_RATIO_SPREAD = 1e-4
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -144,9 +150,10 @@ def parse_backaction_params(raw: dict, path: str) -> dict:
     """``scenario.params`` of ``backaction_sweep``."""
     _check_keys(raw, {"ratios", "pair_detuning_hz", "points"}, path)
     ratios = _rate_ratios(_require(raw, "ratios", path), f"{path}.ratios")
-    if len(set(ratios)) < 2:
+    if not max(ratios) - min(ratios) > MIN_RATIO_SPREAD * max(ratios):
         raise ConfigError(
-            f"{path}.ratios needs at least two distinct values for the backaction line fit"
+            f"{path}.ratios must spread by more than {MIN_RATIO_SPREAD:g} of the largest "
+            "ratio for the backaction line fit"
         )
     detuning = _number(_require(raw, "pair_detuning_hz", path), f"{path}.pair_detuning_hz")
     if not 0.0 < detuning < math.inf:

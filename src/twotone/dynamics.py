@@ -32,6 +32,8 @@ anti-Stokes / Stokes asymmetry between n and n + 1.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -215,8 +217,9 @@ def build_linear_model(cfg: SystemConfig, ds: DriveSet) -> LinearModel:
     """Assemble the drift and diffusion matrices for a drive configuration.
 
     Couplings are g_j_pm = sqrt(gamma_j_pm kappa_j) / 2 exp(i phase). The
-    generator is written once, in the complex-mode basis; the real
-    quadrature drift is its change of basis T C T^-1. Each cavity decays
+    generator is written once, in the complex-mode basis, as Python scalars
+    that become one array; the real quadrature drift is its change of
+    basis T C T^-1. Each cavity decays
     through its external port and an internal loss port, both at the
     cavity's thermal occupancy. Unstable models are allowed here; the
     steady-state solver rejects them.
@@ -234,55 +237,48 @@ def build_linear_model(cfg: SystemConfig, ds: DriveSet) -> LinearModel:
                 "rotating-wave model does not apply"
             )
     s1, s2, s_b = _solve_frame_shifts(ds)
+    cav1, cav2 = cfg.cavity(1), cfg.cavity(2)
 
-    c = np.zeros((6, 6), dtype=complex)
+    c = [[0j] * 6 for _ in range(6)]
     # mode detunings relative to the shifted frames
-    for mode, (shift, half) in enumerate(
-        [
-            (s1, cfg.cavity(1).kappa / 2.0),
-            (s2, cfg.cavity(2).kappa / 2.0),
-            (s_b, cfg.mech.gamma / 2.0),
-        ]
-    ):
+    halves = (cav1.kappa / 2.0, cav2.kappa / 2.0, cfg.mech.gamma / 2.0)
+    for i, shift, half in zip((0, 2, 4), (s1, s2, s_b), halves):
         delta = -shift
-        i = 2 * mode
-        c[i, i] = -1j * delta - half
-        c[i + 1, i + 1] = +1j * delta - half
+        c[i][i] = -1j * delta - half
+        c[i + 1][i + 1] = +1j * delta - half
 
-    for j in (1, 2):
-        cav = cfg.cavity(j)
+    for i, j, cav in ((0, 1, cav1), (2, 2, cav2)):
         lo, up = ds.get(j, LOWER), ds.get(j, UPPER)
-        g_lo = np.sqrt(ds.rate(j, LOWER) * cav.kappa) / 2.0 * np.exp(1j * (lo.phase if lo else 0.0))
-        g_up = np.sqrt(ds.rate(j, UPPER) * cav.kappa) / 2.0 * np.exp(1j * (up.phase if up else 0.0))
-        if g_lo == 0 and g_up == 0:
-            continue
-        i = 2 * (j - 1)
-        # da/dt = -i(g_lo b + g_up b+), db/dt = -i(conj(g_lo) a + g_up a+)
-        c[i, 4] += -1j * g_lo
-        c[i, 5] += -1j * g_up
-        c[i + 1, 5] += 1j * np.conj(g_lo)
-        c[i + 1, 4] += 1j * np.conj(g_up)
-        c[4, i] += -1j * np.conj(g_lo)
-        c[4, i + 1] += -1j * g_up
-        c[5, i + 1] += 1j * g_lo
-        c[5, i] += 1j * np.conj(g_up)
+        g_lo = math.sqrt(lo.rate * cav.kappa) / 2.0 * cmath.exp(1j * lo.phase) if lo else 0j
+        g_up = math.sqrt(up.rate * cav.kappa) / 2.0 * cmath.exp(1j * up.phase) if up else 0j
+        # da/dt = -i(g_lo b + g_up b+), db/dt = -i(conj(g_lo) a + g_up a+); each
+        # entry is written once, and the 0j added to it keeps no -0 part
+        c[i][4] = 0j + -1j * g_lo
+        c[i][5] = 0j + -1j * g_up
+        c[i + 1][5] = 0j + 1j * g_lo.conjugate()
+        c[i + 1][4] = 0j + 1j * g_up.conjugate()
+        c[4][i] = 0j + -1j * g_lo.conjugate()
+        c[4][i + 1] = 0j + -1j * g_up
+        c[5][i + 1] = 0j + 1j * g_lo
+        c[5][i] = 0j + 1j * g_up.conjugate()
+    c = np.array(c)
 
     channels = []
-    for j in (1, 2):
-        cav = cfg.cavity(j)
+    for j, cav in ((1, cav1), (2, cav2)):
         channels.append(InputChannel(f"cav{j}_ext", j - 1, cav.kappa_ext, cav.n_thermal))
         if cav.kappa_int > 0:
             channels.append(InputChannel(f"cav{j}_int", j - 1, cav.kappa_int, cav.n_thermal))
     channels.append(InputChannel("mech", 2, cfg.mech.gamma, cfg.mech.n_thermal))
-
     # each channel feeds both quadratures of its mode
-    level = np.zeros(3)
+    diffusion = np.zeros((6, 6))
+    level = [0.0, 0.0, 0.0]
     for ch in channels:
         level[ch.mode] += ch.rate * ch.variance
+    diffusion.flat[::7] = [level[0], level[0], level[1], level[1], level[2], level[2]]
 
     return LinearModel(
         drift=(_QUADRATURES @ c @ _QUADRATURES_INV).real.copy(),
-        diffusion=np.diag(level.repeat(2)),
+        diffusion=diffusion,
         channels=tuple(channels),
         complex_drift=c,
         frame_shifts=(s1, s2, s_b),

@@ -119,9 +119,12 @@ def fit_lorentzian(
 
     Initial parameters come from a lightly smoothed copy of the data so that
     single-bin noise spikes do not seed the peak position. Parameters named
-    in ``fixed`` are held at the given values instead of floated; pinning
-    the linewidth to its driven-response calibration value removes the
-    area-width correlation that otherwise biases weak peaks. Data whose
+    in ``fixed`` are held at the given values instead of floated. Pinning
+    the linewidth removes the area-width correlation that otherwise biases
+    weak peaks; the sweeps pin it to ``dynamics.effective_linewidth``, the
+    weak-coupling total damping gamma_m + sum(Gamma- - Gamma+), which is
+    computed from the drive rates and not calibrated from a driven
+    response. Data whose
     fitted area is not significant at one standard error falls back to a
     flat-background fit flagged ``zero_area``.
 
@@ -439,6 +442,13 @@ def backaction_line_fit(ratios, values, sigmas) -> LineFit:
     The intercept extrapolates the occupancy without measurement backaction;
     the slope should be one when the added occupancy equals the strength
     ratio.
+
+    Raises
+    ------
+    DomainError
+        If there are fewer than two points, a sigma is not positive, or the
+        design is singular or so nearly singular that a covariance diagonal
+        entry is not finite and positive.
     """
     x = np.asarray(ratios, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -456,13 +466,19 @@ def backaction_line_fit(ratios, values, sigmas) -> LineFit:
         cov = np.linalg.inv(gram)
     except np.linalg.LinAlgError:
         raise DomainError("line fit design is singular: the ratios must not all be equal") from None
+    variances = cov.diagonal()
+    if not np.all((variances > 0) & (variances < np.inf)):  # NaN fails too
+        raise DomainError(
+            "line fit design is nearly singular: its covariance has a diagonal "
+            "entry that is not finite and positive; the ratios are too close"
+        )
     resid = (design @ beta - y) / s
     chi2 = float(np.sum(resid**2) / max(x.size - 2, 1))
     return LineFit(
         slope=float(beta[0]),
         intercept=float(beta[1]),
-        slope_err=float(np.sqrt(cov[0, 0])),
-        intercept_err=float(np.sqrt(cov[1, 1])),
+        slope_err=float(np.sqrt(variances[0])),
+        intercept_err=float(np.sqrt(variances[1])),
         chi2_dof=chi2,
     )
 

@@ -61,7 +61,7 @@ def levenberg_marquardt(
         jt = jac(x)
         g = jt @ f
         gram = jt @ jt.T
-        acnorm = np.sqrt(np.diag(gram))
+        acnorm = np.sqrt(gram.diagonal())
         if first:
             diag = np.where(acnorm == 0.0, 1.0, acnorm)
             xnorm = _norm(diag * x)
@@ -74,13 +74,12 @@ def levenberg_marquardt(
 
         # scaled normal equations (S + par I) y = -c in the eigenbasis of S,
         # with the step p = y / diag and ||diag p|| = ||y||
-        s, v = np.linalg.eigh(gram / np.outer(diag, diag))
+        s, v = np.linalg.eigh(gram / (diag[:, None] * diag))
         s = np.maximum(s, 0.0)
         c = v.T @ (g / diag)
         while True:
-            par, q = _lm_parameter(s, c, delta, par)
+            par, q, pnorm = _lm_parameter(s, c, delta, par)
             step = -(v @ q) / diag
-            pnorm = _norm(q)
             if first:
                 delta = min(delta, pnorm)
             trial = x + step
@@ -128,7 +127,7 @@ def levenberg_marquardt(
 
 
 def _lm_parameter(s, c, delta, par):
-    """Levenberg-Marquardt parameter and eigenbasis step of the subproblem.
+    """Levenberg-Marquardt parameter, eigenbasis step and its norm for the subproblem.
 
     Solves min ||J p + f|| subject to ||D p|| <= delta in the scaled
     eigenbasis, where S has eigenvalues ``s`` and c = V^T D^-1 J^T f: the
@@ -143,7 +142,7 @@ def _lm_parameter(s, c, delta, par):
     dxnorm = _norm(q)
     fp = dxnorm - delta
     if fp <= 0.1 * delta:
-        return 0.0, q
+        return 0.0, q, dxnorm
 
     # lower bound from the Newton step at par = 0, when S has full rank
     parl = fp / delta / ((q @ (q / s)) / dxnorm**2) if full.all() else 0.0
@@ -168,7 +167,7 @@ def _lm_parameter(s, c, delta, par):
         elif fp < 0.0:
             paru = min(paru, par)
         par = max(parl, par + parc)
-    return par, q
+    return par, q, dxnorm
 
 
 def _norm(v) -> float:

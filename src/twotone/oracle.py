@@ -23,8 +23,9 @@ start from, follow in closed form from the moments. scipy is loaded only by
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -256,37 +257,98 @@ def coherence_blocks(d: EffectiveDissipators, n_trunc: int) -> CoherenceBlocks:
     and e^{+i arg C}, so the blocks are built from (A, B, |C|) and are all
     float64. Each diagonal block is tridiagonal and holds only A and B, the
     same in every frame, and each coupling to d +- 2 has the three bands
-    ``up`` and ``down``.
+    ``up`` and ``down``. The diagonal blocks are written by one scatter
+    into one packed buffer, order 0 first, and ``diagonal`` holds views
+    into it.
     """
     n = n_trunc
     A, B, C = d.moments()
     bands = _bands(A, B, abs(C), n)
-    norm = _both_signs_norm(bands.swapaxes(0, 1))
+    norm = _both_signs_norm(bands, axis=1)
     even = bands[:, ::2]
-    diagonal = []
-    for j, m in enumerate(range(n, 0, -2)):
-        # tridiagonal: main, upper and lower diagonal by stride m + 1
-        flat = np.zeros(m * m)
-        flat[:: m + 1] = even[0, j, :m]
-        flat[1 :: m + 1] = even[1, j, : m - 1]
-        flat[m :: m + 1] = even[2, j, 1:m]
-        diagonal.append(flat.reshape(m, m))
+    diagonal = tuple(_diagonal_packing(n).pack(np.float64, even))
     theta = float(np.angle(C)) / 2.0
-    return CoherenceBlocks(n, tuple(diagonal), even[3:6], even[6:9], norm, theta)
+    return CoherenceBlocks(n, diagonal, even[3:6], even[6:9], norm, theta)
 
 
-def _both_signs_norm(a: NDArray) -> float:
-    """2-norm of the entries a[d, ...] of orders d >= 0 and their mirrors at -d."""
-    return float(np.sqrt(2.0 * np.sum(np.abs(a) ** 2) - np.sum(np.abs(a[0]) ** 2)))
+class _Packing(NamedTuple):
+    """Where the entries of blocks go in one packed buffer, and the blocks in it.
+
+    ``pack`` writes ``source[band, order, row]`` to ``packed[target]`` for
+    each source array in one scatter, and returns the blocks as views into
+    ``packed``: (start, rows, columns) of each in ``shapes``.
+    """
+
+    size: int
+    targets: tuple[NDArray[np.intp], ...]
+    indices: tuple[tuple[NDArray[np.intp], NDArray[np.intp], NDArray[np.intp]], ...]
+    shapes: tuple[tuple[int, int, int], ...]
+
+    def pack(self, dtype, *sources: NDArray) -> list[NDArray]:
+        packed = np.zeros(self.size, dtype=dtype)
+        for target, index, source in zip(self.targets, self.indices, sources):
+            packed[target] = source[index]
+        return [packed[a : a + r * c].reshape(r, c) for a, r, c in self.shapes]
 
 
-def _raise_order(up: NDArray, x: NDArray) -> NDArray:
-    """L_{d, d+2} x for the bands ``up`` of order d and columns x on order d + 2."""
-    m = x.shape[0]
-    out = np.zeros((m + 2, x.shape[1]), dtype=x.dtype)
-    for i in range(3):
-        out[i : m + i] += up[i, i : m + i, None] * x
-    return out
+def _packing(size, targets, indices, shapes) -> _Packing:
+    """A read-only ``_Packing``, since each is cached and shared."""
+    for a in (*targets, *(i for index in indices for i in index)):
+        a.flags.writeable = False
+    return _Packing(size, tuple(targets), tuple(indices), tuple(shapes))
+
+
+@functools.lru_cache(maxsize=64)
+def _diagonal_packing(n: int) -> _Packing:
+    """The m x m tridiagonal blocks of orders 2j, m = n - 2j, from j = 0 up.
+
+    The source holds the first three ``_bands`` of the even orders: row q of
+    block j takes its main diagonal from band 0 at (j, q), its upper from
+    band 1 at (j, q) and its lower from band 2 at (j, q).
+    """
+    sizes = np.arange(n, 0, -2)
+    order, row = np.nonzero(np.arange(n) < sizes[:, None])
+    m = sizes[order]
+    starts = np.cumsum(sizes**2) - sizes**2
+    main = starts[order] + row * (m + 1)
+    inner = row > 0  # rows with a lower diagonal, and the rows above them an upper one
+    target = np.concatenate([main, main[inner] - m[inner], main[inner] - 1])
+    band = np.repeat([0, 1, 2], [main.size, inner.sum(), inner.sum()])
+    order = np.concatenate([order, order[inner], order[inner]])
+    row = np.concatenate([row, row[inner] - 1, row[inner]])
+    shapes = zip(starts.tolist(), sizes.tolist(), sizes.tolist())
+    return _packing(int(np.sum(sizes**2)), [target], [(band, order, row)], shapes)
+
+
+@functools.lru_cache(maxsize=64)
+def _coupling_packing(n: int) -> _Packing:
+    """The couplings of each eliminated order 2j, to and from 2j - 2, from j = 1 up.
+
+    With m = n - 2j, level j holds the lowering matrix L_{2j,2j-2}
+    (m x m + 2) with entry (q, q + i) = ``down[i, j, q]``, then the raising
+    matrix L_{2j-2,2j} (m + 2 x m) with entry (q + i, q) = ``up[i, j - 1,
+    q + i]``. The sources are ``down`` and ``up``.
+    """
+    sizes = np.arange(n - 2, 0, -2)  # m of levels j = 1, 2, ...
+    area = sizes * (sizes + 2)
+    lowering = np.cumsum(2 * area) - 2 * area
+    raising = lowering + area
+    level, row = np.nonzero(np.arange(n) < sizes[:, None])
+    band = np.repeat(np.arange(3), level.size)
+    level, row = np.tile(level, 3), np.tile(row, 3)
+    m = sizes[level]
+    targets = [lowering[level] + row * (m + 3) + band, raising[level] + row * (m + 1) + band * m]
+    indices = [(band, level + 1, row), (band, level, row + band)]
+    shapes = []
+    for a, b, k in zip(lowering.tolist(), raising.tolist(), sizes.tolist()):
+        shapes += [(a, k, k + 2), (b, k + 2, k)]
+    return _packing(int(np.sum(2 * area)), targets, indices, shapes)
+
+
+def _both_signs_norm(a: NDArray, axis: int = 0) -> float:
+    """2-norm of the entries of orders d >= 0, indexed along ``axis``, and their mirrors at -d."""
+    zero = a.take(0, axis=axis)
+    return float(np.sqrt(2.0 * np.vdot(a, a).real - np.vdot(zero, zero).real))
 
 
 def steady_state(blocks: CoherenceBlocks) -> TruncatedState:
@@ -313,6 +375,11 @@ def steady_state(blocks: CoherenceBlocks) -> TruncatedState:
     Block elimination (Golub & Van Loan, Matrix Computations, ch. 4) runs
     from the outermost order inward: W_d = S_d^-1 L_{d,d-2} and
     S_{d-2} = L_{d-2,d-2} - L_{d-2,d} W_d, starting from S = L at the top.
+    The couplings of every level are scattered from ``up`` and ``down`` into
+    one buffer per solve before the loop, laid out level by level from
+    d = 2 outward: the dense m x (m + 2) lowering matrix L_{d,d-2}, then the
+    dense (m + 2) x m raising matrix L_{d-2,d}, with m = N - d. Each level
+    is then one solve, one matrix product and one subtraction.
     Only d > 0 is eliminated; order -d contributes the conjugate, so the
     order-0 Schur complement is L_00 - M - conj(M) with M = L_{0,2} W_2. Its
     rho[0, 0] row is replaced by the trace functional, scaled to the
@@ -357,20 +424,18 @@ def steady_state(blocks: CoherenceBlocks) -> TruncatedState:
     n, diagonal, up, down = blocks.n_trunc, blocks.diagonal, blocks.up, blocks.down
     dtype = np.result_type(up, down, *diagonal)
     top = len(diagonal) - 1
+    couplings = _coupling_packing(n).pack(dtype, down, up)
     w = [None] * (top + 1)
     schur = diagonal[top]
     for j in range(top, 0, -1):
-        m = n - 2 * j
-        lowered = np.zeros((m, m + 2), dtype=dtype)
-        for i in range(3):
-            lowered.flat[i :: m + 3] = down[i, j, :m]
+        lowering, raising = couplings[2 * j - 2 : 2 * j]
         try:
-            w[j] = np.linalg.solve(schur, lowered)
+            w[j] = np.linalg.solve(schur, lowering)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"steady-state solve failed: the Schur block of order {2 * j} is singular"
             ) from exc
-        inflow = _raise_order(up[:, j - 1], w[j])
+        inflow = raising @ w[j]
         schur = diagonal[j - 1] - inflow
     if top:
         schur -= inflow.conj()  # order -2 mirrors order 2

@@ -137,9 +137,11 @@ class _Run:
     def area(self, ds, cavity, stream, tag, points):
         """Lorentzian fit of one measurement, recorded as ``{tag}_fit.json``.
 
-        The fit linewidth is pinned to the calibrated total damping, as the
-        driven-response calibration provides it; this keeps weak-peak areas
-        unbiased.
+        The fit linewidth is pinned to ``effective_linewidth``, the
+        weak-coupling total damping gamma_m + sum(Gamma- - Gamma+) of the
+        drive set, computed from its rates rather than calibrated from a
+        driven response. The pin removes the area-width correlation of a
+        free fit on weak peaks.
         """
         fixed = {"fwhm": effective_linewidth(self.cfg, ds)}
         _, fit = self.measure(

@@ -211,7 +211,7 @@ class DriveSet:
 
     def get(self, cavity_index: int, sideband: str) -> Drive | None:
         for d in self.drives:
-            if d.slot == (cavity_index, sideband):
+            if d.cavity_index == cavity_index and d.sideband == sideband:
                 return d
         return None
 

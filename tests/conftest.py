@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -119,3 +120,11 @@ def sample_truncation_estimate(v1, v2):
         return 8
     levels = 2.0 * np.log(1e-6 / 30.0) / np.log(ratio)
     return int(max(8, np.ceil(levels + 10)))
+
+
+def lab_frame(blocks):
+    """The blocks rotated back to theta = 0, where the couplings carry arg(C)."""
+    turn = np.exp(2j * blocks.theta)
+    return dataclasses.replace(
+        blocks, up=blocks.up * turn, down=blocks.down * turn.conjugate(), theta=0.0
+    )

@@ -227,6 +227,9 @@ class TestExitCodes:
             ("tomography.json", {"measurement_ratio": -0.3}),
             ("driven_response.json", {"points": 0}),
             ("backaction_sweep.json", {"ratios": [1.0, 1.0]}),
+            ("backaction_sweep.json", {"ratios": [1.0, 1.000000001]}),
+            ("backaction_sweep.json", {"ratios": [1.0, 1.00005, 1.0]}),
+            ("backaction_sweep.json", {"ratios": [0.0, 0.0]}),
         ],
     )
     def test_bad_sweep_value_exits_two_before_any_artifact(self, tmp_path, capsys, name, params):

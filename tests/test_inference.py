@@ -309,6 +309,12 @@ class TestBackactionLine:
         with pytest.raises(DomainError, match="singular"):
             backaction_line_fit([1.0, 1.0], [1.0, 1.1], [0.1, 0.1])
 
+    def test_nearly_equal_ratios_rejected(self):
+        # the normal equations of ratios 1e-9 apart give a negative variance,
+        # whose square root would warn
+        with pytest.raises(DomainError, match="nearly singular"):
+            backaction_line_fit([1.0, 1.000000001], [1.0, 1.1], [0.1, 0.1])
+
 
 class TestEvasionReport:
     def reference_line(self, sigma=1e-6):

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.sparse.linalg import norm, splu
 
-from conftest import LADDER_CASES, device_drives, sample_truncation_estimate
+from conftest import (
+    LADDER_CASES,
+    device_drives,
+    dissipators,
+    lab_frame,
+    sample_truncation_estimate,
+)
 from twotone import oracle
 from twotone.analytic import quadrature_variances
 from twotone.errors import DomainError, InstabilityError, NumericalError, TruncationError
@@ -416,14 +422,6 @@ def drained_two_block_rates(seed):
     return rates
 
 
-def lab_frame(blocks):
-    """The blocks rotated back to theta = 0, where the couplings carry arg(C)."""
-    turn = np.exp(2j * blocks.theta)
-    return dataclasses.replace(
-        blocks, up=blocks.up * turn, down=blocks.down * turn.conjugate(), theta=0.0
-    )
-
-
 def generator_rows(blocks):
     """The rows of the even parity sector, as a sparse matrix on column-stacked rho.
 
@@ -562,6 +560,19 @@ class TestSectorSolve:
         lv = build_liouvillian(d, n_trunc)
         assert_rows_of_the_generator(lab_frame(built), lv)
 
+    @pytest.mark.parametrize("g_minus, plus_ratio, meas_ratio, angle, n_trunc", LADDER_CASES)
+    def test_ladder_rungs_match_two_factorizations(
+        self, mech, g_minus, plus_ratio, meas_ratio, angle, n_trunc
+    ):
+        # the packed elimination, in the squeezing frame and in the complex lab
+        # frame, against SuperLU on the generator summed operator by operator
+        d = device_dissipators(mech, g_minus, plus_ratio, meas_ratio, angle)
+        reference = two_factorization_steady_state(kron_liouvillian(d, n_trunc))
+        blocks = coherence_blocks(d, n_trunc)
+        atol = 1e-12 * np.max(np.abs(reference.rho))
+        for frame in (blocks, lab_frame(blocks)):
+            np.testing.assert_allclose(steady_state(frame).rho, reference.rho, rtol=0.0, atol=atol)
+
     @pytest.mark.parametrize("detuning", [0.5, -3.0])
     def test_detuned_bath_agrees(self, detuning):
         # -i [delta b+b, rho] puts -i delta d on the diagonal of order d, so the
@@ -647,6 +658,25 @@ def test_squeezing_frame_solve_matches_the_sparse_generator(d, n):
         return
     atol = 1e-12 * np.max(np.abs(reference.rho))
     np.testing.assert_allclose(steady_state(blocks).rho, reference.rho, rtol=0.0, atol=atol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.one_of(dissipators, settled_baths), n=st.integers(min_value=2, max_value=24))
+def test_both_frames_match_two_factorizations(d, n):
+    # any bath, warm or anti-damped ones whose truncated state fails the tail
+    # check among them: each frame's solve either matches SuperLU on the
+    # generator summed operator by operator or raises as that reference does
+    blocks = coherence_blocks(d, n)
+    try:
+        reference = two_factorization_steady_state(kron_liouvillian(d, n))
+    except (NumericalError, TruncationError) as exc:
+        for frame in (blocks, lab_frame(blocks)):
+            with pytest.raises(type(exc)):
+                steady_state(frame)
+        return
+    atol = 1e-12 * np.max(np.abs(reference.rho))
+    for frame in (blocks, lab_frame(blocks)):
+        np.testing.assert_allclose(steady_state(frame).rho, reference.rho, rtol=0.0, atol=atol)
 
 
 # baths from the vacuum to n_th = 50 and from weak to 3000 gamma_m cooling;
