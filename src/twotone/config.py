@@ -16,14 +16,17 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
+from .inference import backaction_line_fit
 from .sysmodel import TWO_PI, Cavity, Drive, DriveSet, MechanicalMode, SystemConfig
 from .synthesis import NoiseModel
 
 # Smallest spread (max - min) of the backaction ratios, as a share of the
 # largest. The line fit solves the normal equations, whose condition number
 # grows as the inverse square of the spread: at this spread a two-point slope
-# is still exact to about 1e-7, and near 1e-9 its covariance turns negative.
+# is still exact to about 1e-7. The ratios must also pass the line fit's own
+# degeneracy rule at unit weights, which also rejects ratios clustered far
+# from 1: its normal matrix holds an intercept column of ones.
 MIN_RATIO_SPREAD = 1e-4
 
 
@@ -155,6 +158,10 @@ def parse_backaction_params(raw: dict, path: str) -> dict:
             f"{path}.ratios must spread by more than {MIN_RATIO_SPREAD:g} of the largest "
             "ratio for the backaction line fit"
         )
+    try:
+        backaction_line_fit(ratios, [0.0] * len(ratios), [1.0] * len(ratios))
+    except DomainError as exc:
+        raise ConfigError(f"{path}.ratios do not admit the backaction line fit: {exc}") from None
     detuning = _number(_require(raw, "pair_detuning_hz", path), f"{path}.pair_detuning_hz")
     if not 0.0 < detuning < math.inf:
         raise ConfigError(f"{path}.pair_detuning_hz must be positive and finite, got {detuning}")
@@ -192,7 +199,10 @@ def parse_probe_params(raw: dict, path: str) -> dict:
         raise ConfigError(f"{path}.cavity must be 1 or 2")
     params = {"cavity": cavity, "points": _grid_points(raw, path)}
     if "span_hz" in raw:
-        params["span"] = TWO_PI * _number(raw["span_hz"], f"{path}.span_hz")
+        span = _number(raw["span_hz"], f"{path}.span_hz")
+        if not 0.0 < span < math.inf:
+            raise ConfigError(f"{path}.span_hz must be positive and finite, got {span}")
+        params["span"] = TWO_PI * span
     return params
 
 
@@ -240,8 +250,6 @@ def load_config(path) -> tuple[SystemConfig, DriveSet, Scenario]:
 
 def parse_config(document: dict) -> tuple[SystemConfig, DriveSet, Scenario]:
     """Validate an already-parsed configuration document."""
-    from .errors import DomainError
-
     _check_keys(document, {"system", "drives", "scenario"}, "config")
     system = _require(document, "system", "config")
     _check_keys(system, {"mechanics", "cavities"}, "system")

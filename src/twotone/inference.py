@@ -81,16 +81,39 @@ def lorentzian(freq: NDArray, center: float, fwhm: float, area: float, backgroun
     return background + area * fwhm / ((freq - center) ** 2 + fwhm**2 / 4.0)
 
 
+def _weighted_linear_fit(design, y, sigma):
+    """Weighted least squares of y on the columns of ``design``, sigma taken as absolute.
+
+    Returns (beta, covariance, chi^2/dof) from the normal equations of
+    design / sigma. A degenerate design raises ``DomainError``: the normal
+    matrix has numerical rank below the column count at 1e-10 of its trace,
+    or the covariance has a diagonal entry that is not finite and positive.
+    """
+    a = design / sigma[:, None]
+    gram = a.T @ a
+    columns = design.shape[1]
+    if np.linalg.matrix_rank(gram, tol=1e-10 * np.trace(gram)) == columns:
+        beta = np.linalg.solve(gram, a.T @ (y / sigma))
+        cov = np.linalg.inv(gram)
+        variances = cov.diagonal()
+        if np.all((variances > 0) & (variances < np.inf)):  # NaN fails too
+            resid = (design @ beta - y) / sigma
+            chi2 = float(np.sum(resid**2) / max(len(y) - columns, 1))
+            return beta, cov, chi2
+    raise DomainError(
+        "degenerate design: its normal matrix is singular or nearly singular, "
+        "so the data do not constrain every coefficient"
+    )
+
+
 def _flat_background_fit(freq, y, err) -> LorentzianFit:
-    weights = 1.0 / err**2
-    flat = float(np.sum(weights * y) / np.sum(weights))
-    flat_err = float(1.0 / math.sqrt(np.sum(weights)))
-    chi2 = float(np.sum(((y - flat) / err) ** 2) / max(len(y) - 1, 1))
+    (flat,), cov, chi2 = _weighted_linear_fit(np.ones((len(y), 1)), y, err)
+    flat_err = math.sqrt(cov[0, 0])
     return LorentzianFit(
         center=float(freq[int(np.argmax(y))]),
         fwhm=0.0,
         area=0.0,
-        background=flat,
+        background=float(flat),
         center_err=math.inf,
         fwhm_err=math.inf,
         area_err=flat_err * float(freq[-1] - freq[0]) / TWO_PI,
@@ -106,27 +129,25 @@ def _smoothed(y: NDArray, window: int) -> NDArray:
     return np.convolve(y, kernel, mode="same")
 
 
-_PARAM_ORDER = ("center", "fwhm", "area", "background")
-
-
 def fit_lorentzian(
     ns: NoisySpectrum,
-    init: dict | None = None,
     *,
-    fixed: dict | None = None,
+    fwhm: float | None = None,
+    center: float | None = None,
 ) -> LorentzianFit:
     """Fit one Lorentzian peak on a flat background, weighted by std_err.
 
-    Initial parameters come from a lightly smoothed copy of the data so that
-    single-bin noise spikes do not seed the peak position. Parameters named
-    in ``fixed`` are held at the given values instead of floated. Pinning
-    the linewidth removes the area-width correlation that otherwise biases
-    weak peaks; the sweeps pin it to ``dynamics.effective_linewidth``, the
-    weak-coupling total damping gamma_m + sum(Gamma- - Gamma+), which is
-    computed from the drive rates and not calibrated from a driven
-    response. Data whose
-    fitted area is not significant at one standard error falls back to a
-    flat-background fit flagged ``zero_area``.
+    The centre, area and background float; so does the width, unless
+    ``fwhm`` holds it fixed (and reported with zero error). The start comes
+    from a lightly smoothed copy of the data, so that single-bin noise
+    spikes do not seed the peak position; ``center``, if given, replaces
+    the start of the peak position. Pinning the linewidth removes the
+    area-width correlation that otherwise biases weak peaks; the sweeps pin
+    it to ``dynamics.effective_linewidth``, the weak-coupling total damping
+    gamma_m + sum(Gamma- - Gamma+), which is computed from the drive rates
+    and not calibrated from a driven response. Data whose fitted area is
+    not significant at one standard error falls back to a flat-background
+    fit flagged ``zero_area``.
 
     The least-squares fit is ``lsq.levenberg_marquardt`` (MINPACK's
     Levenberg-Marquardt) with the analytic Jacobian of the floating
@@ -149,36 +170,26 @@ def fit_lorentzian(
         raise DomainError("frequencies, fluxes and standard errors must be finite")
     if np.any(err <= 0):
         raise DomainError("per-bin standard errors must be positive")
-    fixed = dict(fixed or {})
-    if set(fixed) - set(_PARAM_ORDER):
-        raise DomainError(f"unknown fixed parameters {set(fixed) - set(_PARAM_ORDER)}")
-    free = [name for name in _PARAM_ORDER if name not in fixed]
-    if not free:
-        raise DomainError("at least one parameter must float")
-    if len(y) <= len(free):
-        raise FitError(f"fit needs more than {len(free)} samples, got {len(y)}")
+    pinned = fwhm is not None
+    n_free = 3 if pinned else 4
+    if len(y) <= n_free:
+        raise FitError(f"fit needs more than {n_free} samples, got {len(y)}")
 
     smooth = _smoothed(y, max(3, len(y) // 100))
     # the median as np.median forms it: the mean of the middle one or two values
     low, high = (len(smooth) - 1) // 2, len(smooth) // 2
     background0 = float(np.mean(np.partition(smooth, [low, high])[low : high + 1]))
-    center0 = float(freq[int(np.argmax(smooth))])
+    center0 = float(freq[int(np.argmax(smooth))]) if center is None else center
     prominence = float(np.max(smooth) - background0)
     above = smooth - background0 > prominence / 2.0
     fwhm0 = float(max(np.count_nonzero(above), 3) * (freq[1] - freq[0]))
-    start = {
-        "center": center0,
-        "fwhm": fwhm0,
-        "area": prominence * fwhm0 / 4.0,
-        "background": background0,
-    }
-    start.update(init or {})
-    start.update(fixed)
+    start = [center0, fwhm0, prominence * fwhm0 / 4.0, background0]
+    if pinned:
+        del start[1]
 
     def params(theta):
-        values = dict(fixed)
-        values.update(zip(free, theta))
-        return [values[name] for name in _PARAM_ORDER]
+        """(center, fwhm, area, background) at the floating parameters ``theta``."""
+        return (theta[0], fwhm, theta[1], theta[2]) if pinned else tuple(theta)
 
     def residuals(theta):
         return (lorentzian(freq, *params(theta)) - y) / err
@@ -186,34 +197,23 @@ def fit_lorentzian(
     weight = 1.0 / err
     # the transposed Jacobian, one row per floating parameter; the background
     # row is constant and written once, each call writes the others
-    jt = np.empty((len(free), len(y)))
-    row = dict(zip(free, jt))
-    if "background" in row:
-        row["background"][:] = weight
+    jt = np.empty((n_free, len(y)))
+    jt[-1] = weight
 
     def jacobian(theta):
-        center, fwhm, area, _ = params(theta)
-        offset = freq - center
-        square, quarter = offset**2, fwhm**2 / 4.0
+        position, width, area, _ = params(theta)
+        offset = freq - position
+        square, quarter = offset**2, width**2 / 4.0
         inv = 1.0 / (square + quarter)
         weighted = weight * inv
         peak = area * inv * weighted
-        if "center" in row:
-            np.multiply((2.0 * fwhm) * offset, peak, out=row["center"])
-        if "fwhm" in row:
-            np.multiply(square - quarter, peak, out=row["fwhm"])
-        if "area" in row:
-            np.multiply(fwhm, weighted, out=row["area"])
+        np.multiply((2.0 * width) * offset, peak, out=jt[0])
+        if not pinned:
+            np.multiply(square - quarter, peak, out=jt[1])
+        np.multiply(width, weighted, out=jt[-2])
         return jt
 
-    popt, info = levenberg_marquardt(
-        residuals,
-        jacobian,
-        [start[name] for name in free],
-        ftol=1e-12,
-        xtol=1e-12,
-        maxfev=20000,
-    )
+    popt, info = levenberg_marquardt(residuals, jacobian, start, ftol=1e-12, xtol=1e-12, maxfev=20000)
     if info not in (1, 2, 3, 4):
         flat = _flat_background_fit(freq, y, err)
         if flat.chi2_dof < 2.0:
@@ -225,26 +225,23 @@ def fit_lorentzian(
     try:
         pcov = np.linalg.inv(jac @ jac.T)
     except np.linalg.LinAlgError:
-        pcov = np.full((len(free), len(free)), np.inf)
+        pcov = np.full((n_free, n_free), np.inf)
     variances = np.diag(pcov)
-    values = dict(zip(_PARAM_ORDER, params(popt)))
-    errors = dict.fromkeys(_PARAM_ORDER, 0.0)
-    errors.update(zip(free, np.sqrt(np.where(variances >= 0.0, variances, np.nan))))
-    if not all(np.isfinite(errors[name]) for name in free) or (
-        "area" in free and abs(values["area"]) <= errors["area"]
-    ):
+    errors = np.sqrt(np.where(variances >= 0.0, variances, np.nan))
+    position, width, area, background = params(popt)
+    if not np.isfinite(errors).all() or abs(area) <= errors[-2]:
         return _flat_background_fit(freq, y, err)
-    chi2 = float(np.sum(residuals(popt) ** 2) / max(len(y) - len(free), 1))
+    chi2 = float(np.sum(residuals(popt) ** 2) / max(len(y) - n_free, 1))
     return LorentzianFit(
-        center=float(values["center"]),
+        center=float(position),
         # a negative-width minimum is the same curve; report the canonical sign
-        fwhm=float(abs(values["fwhm"])),
-        area=float(values["area"]),
-        background=float(values["background"]),
-        center_err=float(errors["center"]),
-        fwhm_err=float(errors["fwhm"]),
-        area_err=float(errors["area"]),
-        background_err=float(errors["background"]),
+        fwhm=float(abs(width)),
+        area=float(area),
+        background=float(background),
+        center_err=float(errors[0]),
+        fwhm_err=0.0 if pinned else float(errors[1]),
+        area_err=float(errors[-2]),
+        background_err=float(errors[-1]),
         chi2_dof=chi2,
         converged=True,
     )
@@ -365,18 +362,7 @@ def tomography_sweep(
     design = np.column_stack(
         [np.cos(phases) ** 2, np.sin(phases) ** 2, np.sin(2.0 * phases)]
     )
-    w = 1.0 / errors
-    a = design * w[:, None]
-    b = variances * w
-    gram = a.T @ a
-    if np.linalg.matrix_rank(gram, tol=1e-10 * np.trace(gram)) < 3:
-        raise DomainError(
-            "degenerate tomography design: phases do not constrain all moments"
-        )
-    beta = np.linalg.solve(gram, a.T @ b)
-    cov = np.linalg.inv(gram)
-    resid = (design @ beta - variances) / errors
-    chi2 = float(np.sum(resid**2) / max(len(phases) - 3, 1))
+    beta, cov, chi2 = _weighted_linear_fit(design, variances, errors)
 
     v1, v2, v12 = (float(x) for x in beta)
     # v(phi) = mean + R cos(2 phi - psi): the minimum lies at (psi + pi) / 2
@@ -446,39 +432,29 @@ def backaction_line_fit(ratios, values, sigmas) -> LineFit:
     Raises
     ------
     DomainError
-        If there are fewer than two points, a sigma is not positive, or the
-        design is singular or so nearly singular that a covariance diagonal
-        entry is not finite and positive.
+        If the inputs differ in length or hold a non-finite value, there are
+        fewer than two points, a sigma is not positive, or the design is
+        degenerate by the rule of ``_weighted_linear_fit``: ratios that
+        spread by 1e-6 of the largest are, ratios that spread by
+        ``config.MIN_RATIO_SPREAD`` (1e-4) are not.
     """
     x = np.asarray(ratios, dtype=float)
     y = np.asarray(values, dtype=float)
     s = np.asarray(sigmas, dtype=float)
+    if x.shape != y.shape or x.shape != s.shape:
+        raise DomainError("ratios, values and sigmas must have equal lengths")
+    if not np.isfinite((x, y, s)).all():
+        raise DomainError("ratios, values and sigmas must be finite")
     if x.size < 2:
         raise DomainError("line fit needs at least two points")
     if np.any(s <= 0):
         raise DomainError("sigmas must be positive")
-    design = np.column_stack([x, np.ones_like(x)])
-    a = design / s[:, None]
-    b = y / s
-    gram = a.T @ a
-    try:
-        beta = np.linalg.solve(gram, a.T @ b)
-        cov = np.linalg.inv(gram)
-    except np.linalg.LinAlgError:
-        raise DomainError("line fit design is singular: the ratios must not all be equal") from None
-    variances = cov.diagonal()
-    if not np.all((variances > 0) & (variances < np.inf)):  # NaN fails too
-        raise DomainError(
-            "line fit design is nearly singular: its covariance has a diagonal "
-            "entry that is not finite and positive; the ratios are too close"
-        )
-    resid = (design @ beta - y) / s
-    chi2 = float(np.sum(resid**2) / max(x.size - 2, 1))
+    (slope, intercept), cov, chi2 = _weighted_linear_fit(np.column_stack([x, np.ones_like(x)]), y, s)
     return LineFit(
-        slope=float(beta[0]),
-        intercept=float(beta[1]),
-        slope_err=float(np.sqrt(variances[0])),
-        intercept_err=float(np.sqrt(variances[1])),
+        slope=float(slope),
+        intercept=float(intercept),
+        slope_err=float(np.sqrt(cov[0, 0])),
+        intercept_err=float(np.sqrt(cov[1, 1])),
         chi2_dof=chi2,
     )
 

@@ -131,15 +131,18 @@ class TruncatedState:
             raise DomainError("density matrix shape does not match truncation")
         if not np.isfinite(rho).all():
             raise NumericalError("state holds a non-finite entry")
-        if abs(np.trace(rho).real - 1.0) > _TRACE_TOL or abs(np.trace(rho).imag) > _TRACE_TOL:
-            raise NumericalError(f"state trace {np.trace(rho):.12g} differs from 1")
-        if np.max(np.abs(rho - rho.conj().T)) > 1e-9:
+        trace = np.trace(rho)
+        if abs(trace.real - 1.0) > _TRACE_TOL or abs(trace.imag) > _TRACE_TOL:
+            raise NumericalError(f"state trace {trace:.12g} differs from 1")
+        adjoint = rho.conj().T
+        if np.max(np.abs(rho - adjoint)) > 1e-9:
             raise NumericalError("state is not Hermitian")
-        hermitian = 0.5 * (rho + rho.conj().T)
+        shifted = 0.5 * (rho + adjoint)
+        shifted.flat[:: self.n_trunc + 1] += _EIGENVALUE_TOL
         try:
-            np.linalg.cholesky(hermitian + _EIGENVALUE_TOL * np.eye(self.n_trunc))
+            np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
-            smallest = np.linalg.eigvalsh(hermitian)[0]
+            smallest = np.linalg.eigvalsh(0.5 * (rho + adjoint))[0]
             if not smallest >= -_EIGENVALUE_TOL:
                 raise NumericalError(f"state has negative eigenvalue {smallest:.3g}") from None
         rho.flags.writeable = False

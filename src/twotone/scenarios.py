@@ -143,9 +143,9 @@ class _Run:
         driven response. The pin removes the area-width correlation of a
         free fit on weak peaks.
         """
-        fixed = {"fwhm": effective_linewidth(self.cfg, ds)}
+        width = effective_linewidth(self.cfg, ds)
         _, fit = self.measure(
-            ds, cavity, stream, tag, lambda noisy: fit_lorentzian(noisy, fixed=fixed), points=points
+            ds, cavity, stream, tag, lambda noisy: fit_lorentzian(noisy, fwhm=width), points=points
         )
         self.record(f"{tag}_fit.json", fit.to_record())
         return fit
@@ -173,12 +173,8 @@ def _cooling_drive(ds: DriveSet, scenario: str, upper_error: str | None = None) 
 def _fit_sidebands(noisy, delta: float, window: float, width: float):
     """Anti-Stokes and Stokes fits of the sidebands at -delta and +delta."""
     return tuple(
-        fit_lorentzian(
-            noisy.windowed(np.abs(noisy.freq - center) < window),
-            init={"center": center},
-            fixed={"fwhm": width},
-        )
-        for center in (-delta, delta)
+        fit_lorentzian(noisy.windowed(np.abs(noisy.freq - c) < window), fwhm=width, center=c)
+        for c in (-delta, delta)
     )
 
 

@@ -37,8 +37,8 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.floor < 0:
-            raise DomainError("noise floor must be non-negative")
+        if not 0 <= self.floor < np.inf:
+            raise DomainError(f"noise floor must be non-negative and finite, got {self.floor}")
         if self.averages < 1:
             raise DomainError("averages must be at least 1")
         if int(self.averages) != self.averages:

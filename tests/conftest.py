@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,10 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from twotone import scenarios
+from twotone.config import bundled_config_path, parse_config
+from twotone.errors import FitError
+from twotone.inference import fit_lorentzian
 from twotone.oracle import EffectiveDissipators
 from twotone.sysmodel import Cavity, Drive, DriveSet, MechanicalMode, SystemConfig, drive_pair
 
@@ -128,3 +133,41 @@ def lab_frame(blocks):
     return dataclasses.replace(
         blocks, up=blocks.up * turn, down=blocks.down * turn.conjugate(), theta=0.0
     )
+
+
+def scenario_fits(monkeypatch, tmp_path, name, **params):
+    """(spectrum, fwhm, center) of every Lorentzian fit a bundled scenario makes at seed 11."""
+    document = json.loads(bundled_config_path(name).read_text())
+    document["scenario"]["params"].update(params)
+    cfg, ds, scenario = parse_config(document)
+    fits = []
+
+    def spy(ns, *, fwhm=None, center=None):
+        fits.append((ns, fwhm, center))
+        return fit_lorentzian(ns, fwhm=fwhm, center=center)
+
+    monkeypatch.setattr(scenarios, "fit_lorentzian", spy)
+    try:
+        scenarios.run_scenario(cfg, ds, scenario, tmp_path, seed=11)
+    except FitError:
+        pass  # a tomogram of 4-point spectra fits to a negative moment
+    monkeypatch.undo()
+    return fits
+
+
+@pytest.fixture(scope="session")
+def fit_corpus(tmp_path_factory):
+    with pytest.MonkeyPatch.context() as mp:
+        return {
+            # pinned fits of the on-sideband pairs, windowed sideband fits of
+            # the detuned pair
+            "backaction": scenario_fits(
+                mp, tmp_path_factory.mktemp("ba"), "backaction_sweep.json", ratios=[0.1, 2.44]
+            ),
+            # one free four-parameter fit
+            "single": scenario_fits(mp, tmp_path_factory.mktemp("single"), "paper_device.json"),
+            # one degree of freedom per fit
+            "tomography_4": scenario_fits(
+                mp, tmp_path_factory.mktemp("tomo"), "tomography.json", points=4
+            ),
+        }

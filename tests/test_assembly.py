@@ -1,17 +1,26 @@
-"""The one-write assemblies of the hot layers against the builds they replaced.
+"""The one-write assemblies and narrowed interfaces against what they replaced.
 
-Each reference below is a construction that a faster one replaced, kept as
-it was: the entry-by-entry arrays and the channel-by-channel diffusion of
-``build_linear_model``, the ``np.kron`` Lyapunov operator, the diagonal
-blocks of ``coherence_blocks`` filled through ``ndarray.flat``, the stacked
-Jacobian of the window fit and the dict-built Jacobian of
-``fit_lorentzian``. The rewrites make the same floating-point operations on
-the same operands, so every array must agree to the bit, signed zeros
-included. The one exception is the per-level elimination of
-``steady_state``, whose raising bands became a dense matrix product: its
-sums run in another order, so the Schur complement and the state agree to
-1e-12 relative.
+Each reference below is a construction that a faster or narrower one
+replaced, kept as it was: the entry-by-entry arrays and the
+channel-by-channel diffusion of ``build_linear_model``, the ``np.kron``
+Lyapunov operator, the diagonal blocks of ``coherence_blocks`` filled through
+``ndarray.flat``, the stacked Jacobian of the window fit, the dict-built
+Jacobian of ``fit_lorentzian`` and the whole former ``fit_lorentzian`` with
+its ``init`` and ``fixed`` dicts (``dict_fit_lorentzian``). The rewrites make
+the same floating-point operations on the same operands, so every array and
+every fit must agree to the bit, signed zeros included. So must the
+backaction line, whose former normal-equation solve (``normal_equation_line``)
+had the same weighting as the shared ``_weighted_linear_fit`` that replaced
+it. The exceptions agree to 1e-12 relative: the per-level elimination of
+``steady_state``, whose raising bands became a dense matrix product, so that
+its sums run in another order; the tomogram (``normal_equation_tomogram``),
+whose rows were multiplied by 1/sigma and are now divided by sigma; and the
+flat-background fit (``summed_flat_background``), which summed the weights
+1/sigma^2 and now solves the same one-column normal equations.
 """
+
+import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -39,11 +48,18 @@ from twotone.dynamics import (
     steady_covariance,
     transparency_window_fwhm,
 )
-from twotone.errors import DomainError, NumericalError, TruncationError
-from twotone.inference import fit_lorentzian, lorentzian
+from twotone.errors import DomainError, FitError, NumericalError, TruncationError
+from twotone.inference import (
+    LineFit,
+    LorentzianFit,
+    backaction_line_fit,
+    fit_lorentzian,
+    lorentzian,
+    tomography_sweep,
+)
 from twotone.oracle import EffectiveDissipators, _bands, coherence_blocks, steady_state
 from twotone.synthesis import NoiseModel, NoisySpectrum
-from twotone.sysmodel import LOWER, UPPER, Drive, DriveSet, drive_pair
+from twotone.sysmodel import LOWER, TWO_PI, UPPER, Drive, DriveSet, drive_pair
 
 
 def assert_same_bits(got, expected):
@@ -446,23 +462,329 @@ def dict_built_jacobian(ns, free, fixed, theta):
     return np.stack([rows[name]() for name in free])
 
 
+def peak_spectrum(seed, samples=401, area=40.0):
+    """A noisy Lorentzian on a background of 2, with its true centre and width."""
+    rng = np.random.default_rng(seed)
+    freq = np.linspace(-50.0, 50.0, samples)
+    center, fwhm = rng.uniform(-20.0, 20.0), rng.uniform(2.0, 10.0)
+    err = rng.uniform(0.05, 0.5) * np.ones_like(freq)
+    y = lorentzian(freq, center, fwhm, area, 2.0) + err * rng.standard_normal(freq.size)
+    ns = NoisySpectrum(freq=freq, flux_true=y, flux_measured=y, std_err=err, noise=NoiseModel())
+    return ns, center, fwhm
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
-    fixed=st.sampled_from([(), ("fwhm",), ("center", "fwhm"), ("background",), ("area",)]),
+    pin=st.booleans(),
+    start=st.one_of(st.none(), st.floats(min_value=-5.0, max_value=5.0)),
 )
-def test_lorentzian_jacobian_matches_dict_build(seed, fixed):
-    rng = np.random.default_rng(seed)
-    freq = np.linspace(-50.0, 50.0, 401)
-    truth = dict(zip(PARAMS, (rng.uniform(-5.0, 5.0), rng.uniform(2.0, 10.0), 40.0, 2.0)))
-    err = np.full_like(freq, 0.05)
-    y = lorentzian(freq, *truth.values()) + err * rng.standard_normal(freq.size)
-    ns = NoisySpectrum(freq=freq, flux_true=y, flux_measured=y, std_err=err, noise=NoiseModel())
-    pinned = {name: truth[name] for name in fixed}
+def test_lorentzian_jacobian_matches_dict_build(seed, pin, start):
+    ns, center, fwhm = peak_spectrum(seed)
+    pinned = {"fwhm": fwhm} if pin else {}
     free = [name for name in PARAMS if name not in pinned]
     with pytest.MonkeyPatch.context() as mp:
         solves = recorded_jacobians(mp, inference)
-        fit_lorentzian(ns, fixed=pinned)
+        fit_lorentzian(ns, fwhm=pinned.get("fwhm"), center=None if start is None else center + start)
     ((jac, x0, x),) = solves
     for theta in (x0, x, 0.5 * (x0 + x)):
         assert_same_bits(jac(theta), dict_built_jacobian(ns, free, pinned, theta))
+
+
+def dict_fit_lorentzian(ns, init=None, *, fixed=None):
+    """Reference: ``fit_lorentzian`` as it was, with its dict interface.
+
+    ``init`` replaces start values and ``fixed`` holds parameters at given
+    values, each by name. The body is the former one; it looks the smoothing,
+    the flat-background fit and the solver up in ``inference``, so that a
+    solver patched there serves both fits.
+    """
+    freq = ns.freq
+    y = ns.flux_measured
+    err = ns.std_err
+    if not (np.isfinite(freq).all() and np.isfinite(y).all() and np.isfinite(err).all()):
+        raise DomainError("frequencies, fluxes and standard errors must be finite")
+    if np.any(err <= 0):
+        raise DomainError("per-bin standard errors must be positive")
+    fixed = dict(fixed or {})
+    if set(fixed) - set(PARAMS):
+        raise DomainError(f"unknown fixed parameters {set(fixed) - set(PARAMS)}")
+    free = [name for name in PARAMS if name not in fixed]
+    if not free:
+        raise DomainError("at least one parameter must float")
+    if len(y) <= len(free):
+        raise FitError(f"fit needs more than {len(free)} samples, got {len(y)}")
+
+    smooth = inference._smoothed(y, max(3, len(y) // 100))
+    # the median as np.median forms it: the mean of the middle one or two values
+    low, high = (len(smooth) - 1) // 2, len(smooth) // 2
+    background0 = float(np.mean(np.partition(smooth, [low, high])[low : high + 1]))
+    center0 = float(freq[int(np.argmax(smooth))])
+    prominence = float(np.max(smooth) - background0)
+    above = smooth - background0 > prominence / 2.0
+    fwhm0 = float(max(np.count_nonzero(above), 3) * (freq[1] - freq[0]))
+    start = {
+        "center": center0,
+        "fwhm": fwhm0,
+        "area": prominence * fwhm0 / 4.0,
+        "background": background0,
+    }
+    start.update(init or {})
+    start.update(fixed)
+
+    def params(theta):
+        values = dict(fixed)
+        values.update(zip(free, theta))
+        return [values[name] for name in PARAMS]
+
+    def residuals(theta):
+        return (lorentzian(freq, *params(theta)) - y) / err
+
+    weight = 1.0 / err
+    # the transposed Jacobian, one row per floating parameter; the background
+    # row is constant and written once, each call writes the others
+    jt = np.empty((len(free), len(y)))
+    row = dict(zip(free, jt))
+    if "background" in row:
+        row["background"][:] = weight
+
+    def jacobian(theta):
+        center, fwhm, area, _ = params(theta)
+        offset = freq - center
+        square, quarter = offset**2, fwhm**2 / 4.0
+        inv = 1.0 / (square + quarter)
+        weighted = weight * inv
+        peak = area * inv * weighted
+        if "center" in row:
+            np.multiply((2.0 * fwhm) * offset, peak, out=row["center"])
+        if "fwhm" in row:
+            np.multiply(square - quarter, peak, out=row["fwhm"])
+        if "area" in row:
+            np.multiply(fwhm, weighted, out=row["area"])
+        return jt
+
+    popt, info = inference.levenberg_marquardt(
+        residuals,
+        jacobian,
+        [start[name] for name in free],
+        ftol=1e-12,
+        xtol=1e-12,
+        maxfev=20000,
+    )
+    if info not in (1, 2, 3, 4):
+        flat = inference._flat_background_fit(freq, y, err)
+        if flat.chi2_dof < 2.0:
+            return flat
+        raise FitError(f"Lorentzian fit did not converge (MINPACK info {info})")
+    # a singular covariance on peakless data is handled by the
+    # flat-background fallback below
+    jac = jacobian(popt)
+    try:
+        pcov = np.linalg.inv(jac @ jac.T)
+    except np.linalg.LinAlgError:
+        pcov = np.full((len(free), len(free)), np.inf)
+    variances = np.diag(pcov)
+    values = dict(zip(PARAMS, params(popt)))
+    errors = dict.fromkeys(PARAMS, 0.0)
+    errors.update(zip(free, np.sqrt(np.where(variances >= 0.0, variances, np.nan))))
+    if not all(np.isfinite(errors[name]) for name in free) or (
+        "area" in free and abs(values["area"]) <= errors["area"]
+    ):
+        return inference._flat_background_fit(freq, y, err)
+    chi2 = float(np.sum(residuals(popt) ** 2) / max(len(y) - len(free), 1))
+    return LorentzianFit(
+        center=float(values["center"]),
+        # a negative-width minimum is the same curve; report the canonical sign
+        fwhm=float(abs(values["fwhm"])),
+        area=float(values["area"]),
+        background=float(values["background"]),
+        center_err=float(errors["center"]),
+        fwhm_err=float(errors["fwhm"]),
+        area_err=float(errors["area"]),
+        background_err=float(errors["background"]),
+        chi2_dof=chi2,
+        converged=True,
+    )
+
+
+def fit_outcome(fit, *args, **kwargs):
+    """The fit's result, or the type and message of the error it raised."""
+    try:
+        return fit(*args, **kwargs)
+    except (DomainError, FitError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_fit_matches_dict_interface(ns, fwhm, center):
+    got = fit_outcome(fit_lorentzian, ns, fwhm=fwhm, center=center)
+    expected = fit_outcome(
+        dict_fit_lorentzian,
+        ns,
+        {} if center is None else {"center": center},
+        fixed={} if fwhm is None else {"fwhm": fwhm},
+    )
+    if isinstance(expected, LorentzianFit):
+        assert isinstance(got, LorentzianFit)
+        assert_same_bits(np.array(dataclasses.astuple(got)), np.array(dataclasses.astuple(expected)))
+    else:
+        assert got == expected
+    return expected
+
+
+@pytest.mark.parametrize("corpus", ["backaction", "single", "tomography_4"])
+def test_fit_matches_dict_interface_on_the_scenario_fits(fit_corpus, corpus):
+    for ns, fwhm, center in fit_corpus[corpus]:
+        assert_fit_matches_dict_interface(ns, fwhm, center)
+
+
+def stalled(fun, jac, x0, **tolerances):
+    """The solver's end point, reported as an evaluation budget spent (info 5)."""
+    return lsq.levenberg_marquardt(fun, jac, x0, **tolerances)[0], 5
+
+
+# peaks from none to strong, so that some fits end in the flat fallback for an
+# insignificant area; ``stall`` reports every solve as not converged, so that
+# the fallback's chi^2 gate either returns the flat fit or raises
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    samples=st.sampled_from([4, 5, 9, 41, 301]),
+    area=st.sampled_from([0.0, 0.5, 5.0, 40.0]),
+    pin=st.booleans(),
+    start=st.one_of(st.none(), st.floats(min_value=-60.0, max_value=60.0)),
+    stall=st.booleans(),
+)
+def test_fit_matches_dict_interface(seed, samples, area, pin, start, stall):
+    ns, _, fwhm = peak_spectrum(seed, samples, area)
+    with pytest.MonkeyPatch.context() as mp:
+        if stall:
+            mp.setattr(inference, "levenberg_marquardt", stalled)
+        assert_fit_matches_dict_interface(ns, fwhm if pin else None, start)
+
+
+def summed_flat_background(freq, y, err):
+    """Reference: the flat-background fit from sums of the weights, as it was."""
+    weights = 1.0 / err**2
+    flat = float(np.sum(weights * y) / np.sum(weights))
+    flat_err = float(1.0 / math.sqrt(np.sum(weights)))
+    chi2 = float(np.sum(((y - flat) / err) ** 2) / max(len(y) - 1, 1))
+    return LorentzianFit(
+        center=float(freq[int(np.argmax(y))]),
+        fwhm=0.0,
+        area=0.0,
+        background=flat,
+        center_err=math.inf,
+        fwhm_err=math.inf,
+        area_err=flat_err * float(freq[-1] - freq[0]) / TWO_PI,
+        background_err=flat_err,
+        chi2_dof=chi2,
+        converged=True,
+        zero_area=True,
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), samples=st.integers(min_value=4, max_value=300))
+def test_flat_background_matches_summed_weights(seed, samples):
+    rng = np.random.default_rng(seed)
+    freq = np.linspace(-50.0, 50.0, samples)
+    err = rng.uniform(0.01, 2.0, samples)
+    y = 20.0 + err * rng.standard_normal(samples)
+    got = dataclasses.astuple(inference._flat_background_fit(freq, y, err))
+    expected = dataclasses.astuple(summed_flat_background(freq, y, err))
+    for value, reference in zip(got, expected):
+        assert value == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+
+def normal_equation_tomogram(phases, variances, errors):
+    """Reference: the tomogram's weighted solve, as it was: (beta, cov, chi^2/dof)."""
+    design = np.column_stack([np.cos(phases) ** 2, np.sin(phases) ** 2, np.sin(2.0 * phases)])
+    w = 1.0 / errors
+    a = design * w[:, None]
+    b = variances * w
+    gram = a.T @ a
+    if np.linalg.matrix_rank(gram, tol=1e-10 * np.trace(gram)) < 3:
+        raise DomainError("degenerate tomography design: phases do not constrain all moments")
+    beta = np.linalg.solve(gram, a.T @ b)
+    cov = np.linalg.inv(gram)
+    resid = (design @ beta - variances) / errors
+    chi2 = float(np.sum(resid**2) / max(len(phases) - 3, 1))
+    return beta, cov, chi2
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_phases=st.integers(min_value=5, max_value=40),
+    jitter=st.floats(min_value=0.0, max_value=0.2),
+)
+def test_tomogram_matches_normal_equation_solve(seed, n_phases, jitter):
+    rng = np.random.default_rng(seed)
+    phases = np.linspace(0.0, math.pi, n_phases)
+    phases[1:-1] += jitter * rng.uniform(-1.0, 1.0, n_phases - 2)
+    v1, v2 = rng.uniform(0.3, 3.0, 2)
+    v12 = rng.uniform(-0.9, 0.9) * math.sqrt(v1 * v2) / 2.0
+    errors = rng.uniform(0.01, 0.1, n_phases)
+    truth = v1 * np.cos(phases) ** 2 + v2 * np.sin(phases) ** 2 + v12 * np.sin(2.0 * phases)
+    variances = truth + errors * rng.standard_normal(n_phases)
+    beta, cov, chi2 = normal_equation_tomogram(phases, variances, errors)
+    try:
+        fit = tomography_sweep(phases, variances, errors)
+    except FitError:  # noise can make the fitted moment matrix negative
+        assert np.linalg.eigvalsh([[beta[0], beta[2]], [beta[2], beta[1]]]).min() < 0.0
+        return
+    assert_close(np.array([fit.v1, fit.v2, fit.v12]), beta)
+    assert_close(fit.cov, cov)
+    assert fit.chi2_dof == pytest.approx(chi2, rel=1e-12, abs=0.0)
+
+
+def normal_equation_line(ratios, values, sigmas):
+    """Reference: the backaction line's weighted solve and covariance rule, as they were."""
+    x = np.asarray(ratios, dtype=float)
+    y = np.asarray(values, dtype=float)
+    s = np.asarray(sigmas, dtype=float)
+    design = np.column_stack([x, np.ones_like(x)])
+    a = design / s[:, None]
+    b = y / s
+    gram = a.T @ a
+    try:
+        beta = np.linalg.solve(gram, a.T @ b)
+        cov = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:
+        raise DomainError("line fit design is singular: the ratios must not all be equal") from None
+    variances = cov.diagonal()
+    if not np.all((variances > 0) & (variances < np.inf)):  # NaN fails too
+        raise DomainError("line fit design is nearly singular")
+    resid = (design @ beta - y) / s
+    chi2 = float(np.sum(resid**2) / max(x.size - 2, 1))
+    return LineFit(
+        slope=float(beta[0]),
+        intercept=float(beta[1]),
+        slope_err=float(np.sqrt(variances[0])),
+        intercept_err=float(np.sqrt(variances[1])),
+        chi2_dof=chi2,
+    )
+
+
+# ratios from clustered to the bundled sweep's spread, so that the rank test
+# also rejects some designs that the covariance rule alone let through
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=2, max_value=12),
+    scale=st.floats(min_value=1e-3, max_value=3.0),
+    spread=st.sampled_from([1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-1, 1.0]),
+)
+def test_line_fit_matches_normal_equation_solve(seed, n, scale, spread):
+    rng = np.random.default_rng(seed)
+    ratios = scale * (1.0 + spread * rng.uniform(0.0, 1.0, n))
+    sigmas = rng.uniform(0.01, 0.2, n)
+    values = 0.08 + ratios + sigmas * rng.standard_normal(n)
+    try:
+        fit = backaction_line_fit(ratios, values, sigmas)
+    except DomainError:
+        return  # the rank test is the stricter rule
+    assert_same_bits(
+        np.array(dataclasses.astuple(fit)),
+        np.array(dataclasses.astuple(normal_equation_line(ratios, values, sigmas))),
+    )

@@ -230,12 +230,32 @@ class TestExitCodes:
             ("backaction_sweep.json", {"ratios": [1.0, 1.000000001]}),
             ("backaction_sweep.json", {"ratios": [1.0, 1.00005, 1.0]}),
             ("backaction_sweep.json", {"ratios": [0.0, 0.0]}),
+            ("driven_response.json", {"span_hz": -1000}),
+            ("driven_response.json", {"span_hz": 0}),
+            ("paper_device.json", {"span_hz": -1000}),
+            ("driven_response.json", {"span_hz": float("nan")}),
+            ("paper_device.json", {"span_hz": float("inf")}),
+            # spread by more than 1e-4 of the largest, but too close for the
+            # line fit's rank test so far below a ratio of 1
+            ("backaction_sweep.json", {"ratios": [0.1, 0.10002]}),
         ],
     )
     def test_bad_sweep_value_exits_two_before_any_artifact(self, tmp_path, capsys, name, params):
         assert main(self.bundled_with(tmp_path, name, **params)) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: scenario.params.")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("floor", [float("nan"), float("inf"), -1.0])
+    def test_bad_noise_floor_exits_two_before_any_artifact(self, tmp_path, capsys, floor):
+        document = bundled_document("squeeze_sweep.json")
+        document["scenario"]["noise"]["floor"] = floor
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(document))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: noise floor must be non-negative and finite")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 

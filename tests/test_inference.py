@@ -78,15 +78,18 @@ class TestFitLorentzian:
         areas = []
         for stream in range(200):
             ns = synthesize(spectrum, nm_base, stream=stream)
-            areas.append(fit_lorentzian(ns, fixed={"fwhm": width}).area)
+            areas.append(fit_lorentzian(ns, fwhm=width).area)
         assert np.mean(areas) == pytest.approx(truth, rel=0.01)
 
     def test_init_override(self):
+        # a start centre off the peak, with the width free and pinned
         freq = np.linspace(-10.0, 10.0, 801)
         truth = lorentzian(freq, 1.0, 2.0, 30.0, 5.0)
         ns = make_noisy(freq, truth, np.full_like(freq, 0.01))
-        fit = fit_lorentzian(ns, init={"center": 0.5, "fwhm": 1.0, "area": 10.0, "background": 4.0})
-        assert fit.area == pytest.approx(30.0, rel=1e-6)
+        for fwhm in (None, 2.0):
+            fit = fit_lorentzian(ns, fwhm=fwhm, center=0.5)
+            assert fit.area == pytest.approx(30.0, rel=1e-6)
+            assert fit.center == pytest.approx(1.0, rel=1e-9)
 
     def test_nonpositive_errors_rejected(self):
         freq = np.linspace(-1.0, 1.0, 301)
@@ -115,13 +118,15 @@ class TestFitLorentzian:
         truth = lorentzian(freq, 1.0, 2.0, 30.0, 5.0)
         ns = make_noisy(freq, truth, np.full_like(freq, 0.01))
         with pytest.raises(FitError, match="fit needs more than"):
-            fit_lorentzian(ns, fixed=fixed)
+            fit_lorentzian(ns, **fixed)
 
     def test_one_degree_of_freedom_fits(self):
-        freq = np.linspace(-10.0, 10.0, 5)
+        # a pinned width leaves three parameters for four samples
+        freq = np.linspace(-10.0, 10.0, 4)
         ns = make_noisy(freq, lorentzian(freq, 1.0, 2.0, 30.0, 5.0), np.full_like(freq, 0.01))
-        fit = fit_lorentzian(ns, init={"center": 1.0, "fwhm": 2.0, "area": 30.0, "background": 5.0})
+        fit = fit_lorentzian(ns, fwhm=2.0, center=1.0)
         assert fit.area == pytest.approx(30.0, rel=1e-6)
+        assert fit.fwhm_err == 0.0
 
 
 class TestOccupancyFromSidebands:
@@ -314,6 +319,37 @@ class TestBackactionLine:
         # whose square root would warn
         with pytest.raises(DomainError, match="nearly singular"):
             backaction_line_fit([1.0, 1.000000001], [1.0, 1.1], [0.1, 0.1])
+
+    def test_ratio_spread_of_the_schema_fits(self):
+        # config.MIN_RATIO_SPREAD: ratios 1e-4 of the largest apart
+        fit = backaction_line_fit([1.0, 1.0001], [1.0, 1.1], [0.1, 0.1])
+        assert np.isfinite([fit.slope, fit.slope_err, fit.intercept_err]).all()
+
+    def test_ratio_spread_of_one_in_a_million_rejected(self):
+        # the normal matrix has rank 1 at 1e-10 of its trace; its covariance
+        # would still be finite and positive
+        with pytest.raises(DomainError, match="nearly singular"):
+            backaction_line_fit([1.0, 1.000001], [1.0, 1.1], [0.1, 0.1])
+
+    def test_covariance_overflow_rejected(self):
+        # a full-rank normal matrix of order 1e-308, whose inverse overflows:
+        # the covariance rule, not the rank test, rejects it
+        with pytest.raises(DomainError, match="nearly singular"):
+            backaction_line_fit([1.0, 2.0], [1.0, 2.0], [1e154, 1e154])
+
+    @pytest.mark.parametrize("column", ["ratios", "values", "sigmas"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_rejected(self, column, bad):
+        # a NaN ratio would otherwise reach the rank test's SVD, which raises
+        # a bare LinAlgError
+        inputs = {"ratios": [0.1, 0.5, 1.0], "values": [0.2, 0.6, 1.1], "sigmas": [0.01, 0.01, 0.01]}
+        inputs[column][-1] = bad
+        with pytest.raises(DomainError, match="finite"):
+            backaction_line_fit(**inputs)
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(DomainError, match="equal lengths"):
+            backaction_line_fit([0.1, 0.5, 1.0], [0.2, 0.6], [0.01, 0.01, 0.01])
 
 
 class TestEvasionReport:

@@ -6,7 +6,6 @@ model, weights, tolerances and evaluation budget of ``fit_lorentzian``, and
 ``transparency_window_fwhm``.
 """
 
-import json
 import warnings
 
 import numpy as np
@@ -14,9 +13,7 @@ import pytest
 from scipy.optimize import OptimizeWarning, curve_fit, least_squares
 
 from conftest import LADDER_CASES, device_drives
-from twotone import dynamics, inference, scenarios
-from twotone.config import bundled_config_path, parse_config
-from twotone.errors import FitError
+from twotone import dynamics, inference
 from twotone.inference import fit_lorentzian, lorentzian
 from twotone.lsq import levenberg_marquardt
 from twotone.synthesis import NoiseModel, NoisySpectrum
@@ -24,8 +21,12 @@ from twotone.synthesis import NoiseModel, NoisySpectrum
 PARAMS = ("center", "fwhm", "area", "background")
 
 
-def curve_fit_reference(ns, start, fixed):
-    """Free parameters, their errors and chi^2 from ``curve_fit`` (MINPACK lmdif)."""
+def curve_fit_reference(ns, start, fwhm):
+    """Free parameters, their errors and chi^2 from ``curve_fit`` (MINPACK lmdif).
+
+    A given ``fwhm`` is held fixed, as ``fit_lorentzian`` holds it.
+    """
+    fixed = {} if fwhm is None else {"fwhm": fwhm}
     free = [name for name in PARAMS if name not in fixed]
 
     def model(f, *theta):
@@ -63,56 +64,18 @@ def recorded_solves(monkeypatch, module):
     return solves
 
 
-def scenario_fits(monkeypatch, tmp_path, name, **params):
-    """(spectrum, init, fixed) of every Lorentzian fit a bundled scenario makes at seed 11."""
-    document = json.loads(bundled_config_path(name).read_text())
-    document["scenario"]["params"].update(params)
-    cfg, ds, scenario = parse_config(document)
-    fits = []
-
-    def spy(ns, init=None, *, fixed=None):
-        fits.append((ns, init, fixed or {}))
-        return fit_lorentzian(ns, init, fixed=fixed)
-
-    monkeypatch.setattr(scenarios, "fit_lorentzian", spy)
-    try:
-        scenarios.run_scenario(cfg, ds, scenario, tmp_path, seed=11)
-    except FitError:
-        pass  # a tomogram of 4-point spectra fits to a negative moment
-    monkeypatch.undo()
-    return fits
-
-
-@pytest.fixture(scope="module")
-def fit_corpus(tmp_path_factory):
-    with pytest.MonkeyPatch.context() as mp:
-        return {
-            # pinned fits of the on-sideband pairs, windowed sideband fits of
-            # the detuned pair
-            "backaction": scenario_fits(
-                mp, tmp_path_factory.mktemp("ba"), "backaction_sweep.json", ratios=[0.1, 2.44]
-            ),
-            # one free four-parameter fit
-            "single": scenario_fits(mp, tmp_path_factory.mktemp("single"), "paper_device.json"),
-            # one degree of freedom per fit
-            "tomography_4": scenario_fits(
-                mp, tmp_path_factory.mktemp("tomo"), "tomography.json", points=4
-            ),
-        }
-
-
 class TestAgainstCurveFit:
     @pytest.mark.parametrize("corpus, count", [("backaction", 8), ("single", 1), ("tomography_4", 12)])
     def test_no_worse_than_minpack(self, monkeypatch, fit_corpus, corpus, count):
         fits = fit_corpus[corpus]
         assert len(fits) == count
         solves = recorded_solves(monkeypatch, inference)
-        for ns, init, fixed in fits:
-            fit = fit_lorentzian(ns, init, fixed=fixed)
+        for ns, fwhm, center in fits:
+            fit = fit_lorentzian(ns, fwhm=fwhm, center=center)
             fun, _, start, x, info = solves[-1]
             assert info in (1, 2, 3, 4)
             try:
-                popt, perr, chi2_ref = curve_fit_reference(ns, start, fixed)
+                popt, perr, chi2_ref = curve_fit_reference(ns, start, fwhm)
             except RuntimeError:
                 # no finite minimum (3 of the 4-point spectra): curve_fit
                 # spends its evaluations walking down a flat valley, and the
@@ -123,6 +86,9 @@ class TestAgainstCurveFit:
             assert np.all(np.abs(x - popt) <= 1e-3 * perr)
 
     def test_exact_data_from_the_truth_returns_at_once(self, monkeypatch):
+        # exact data fitted with the width pinned and the centre started at
+        # the truth: the fit ends on the truth, and the solver started there
+        # with the fit's own residuals returns it at once
         freq = np.linspace(-5.0, 5.0, 201)
         truth = {"center": 0.3, "fwhm": 1.2, "area": 4.0, "background": 2.0}
         y = lorentzian(freq, *truth.values())
@@ -130,23 +96,34 @@ class TestAgainstCurveFit:
             freq=freq, flux_true=y, flux_measured=y, std_err=np.full_like(y, 0.1), noise=NoiseModel()
         )
         solves = recorded_solves(monkeypatch, inference)
-        fit = fit_lorentzian(ns, init=truth)
-        _, _, _, x, info = solves[-1]
-        assert info == 4
-        np.testing.assert_array_equal(x, list(truth.values()))
+        fit = fit_lorentzian(ns, fwhm=truth["fwhm"], center=truth["center"])
+        fun, jac, _, x, info = solves[-1]
+        free = [truth["center"], truth["area"], truth["background"]]
+        np.testing.assert_array_equal(x, free)
         assert fit.chi2_dof == 0.0
         assert np.isfinite([fit.center_err, fit.fwhm_err, fit.area_err, fit.background_err]).all()
+        evaluations = []
+
+        def counted(theta):
+            evaluations.append(1)
+            return fun(theta)
+
+        x, info = levenberg_marquardt(counted, jac, free, ftol=1e-12, xtol=1e-12, maxfev=20000)
+        assert (info, len(evaluations)) == (4, 1)
+        np.testing.assert_array_equal(x, free)
 
     def test_rank_deficient_jacobian_gives_infinite_errors(self):
-        # a pinned zero area leaves the centre and width columns zero, so the
-        # flat-background fit is the only outcome
+        # a start centre far off the grid leaves the centre and area columns
+        # too small against the background's for a covariance: its inverse
+        # holds a negative variance, so the flat-background fit is the only
+        # outcome
         rng = np.random.default_rng(3)
         freq = np.linspace(-5.0, 5.0, 201)
         y = lorentzian(freq, 0.0, 1.0, 3.0, 2.0) + 0.1 * rng.standard_normal(freq.size)
         ns = NoisySpectrum(
             freq=freq, flux_true=y, flux_measured=y, std_err=np.full_like(y, 0.1), noise=NoiseModel()
         )
-        fit = fit_lorentzian(ns, fixed={"area": 0.0})
+        fit = fit_lorentzian(ns, fwhm=1.0, center=1e6)
         assert fit.zero_area
         assert fit.center_err == fit.fwhm_err == np.inf
 
