@@ -31,7 +31,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DomainError, InstabilityError, NumericalError, TruncationError
-from .sysmodel import LOWER, UPPER, DriveSet, MechanicalMode
+from .sysmodel import LOWER, UPPER, DriveSet, MechanicalMode, _require_finite
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -56,13 +56,17 @@ class EffectiveDissipators:
     pair, meaning the single operator c_minus b + c_plus b+ with complex
     coefficients in sqrt(rad/s). The thermal pair derived from ``gamma_m``
     and ``n_thermal`` acts as two separate operators and is always present.
+    Every input must be finite; the moments (A, B, C) are formed once, here.
     """
 
     gamma_m: float
     n_thermal: float
     engineered: tuple[tuple[complex, complex], ...] = field(default_factory=tuple)
+    _moments: tuple[float, float, complex] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _require_finite("thermal relaxation rate", self.gamma_m)
+        _require_finite("thermal occupancy", self.n_thermal)
         if self.gamma_m <= 0:
             raise DomainError("thermal relaxation rate must be positive")
         if self.n_thermal < 0:
@@ -70,6 +74,12 @@ class EffectiveDissipators:
         object.__setattr__(self, "engineered", tuple(
             (complex(cm), complex(cp)) for cm, cp in self.engineered
         ))
+        coeffs = np.array(self.collapse_coefficients())
+        if not np.isfinite(coeffs).all():
+            raise DomainError("engineered collapse coefficients must be finite")
+        a, beta = coeffs[:, 0], coeffs[:, 1]
+        moments = (float(np.sum(np.abs(a) ** 2)), float(np.sum(np.abs(beta) ** 2)))
+        object.__setattr__(self, "_moments", (*moments, complex(np.sum(a * np.conj(beta)))))
 
     @classmethod
     def from_drives(cls, mech: MechanicalMode, ds: DriveSet) -> "EffectiveDissipators":
@@ -100,15 +110,9 @@ class EffectiveDissipators:
         For collapse operators c_k = a_k b + beta_k b+ these fix the whole
         generator: sum_k c_k rho c_k+ = A b rho b+ + B b+ rho b + C b rho b
         + conj(C) b+ rho b+, and sum_k c_k+ c_k = A b+b + B b b+
-        + conj(C) b+^2 + C b^2.
+        + conj(C) b+^2 + C b^2. They are formed at construction.
         """
-        coeffs = np.array(self.collapse_coefficients())
-        a, beta = coeffs[:, 0], coeffs[:, 1]
-        return (
-            float(np.sum(np.abs(a) ** 2)),
-            float(np.sum(np.abs(beta) ** 2)),
-            complex(np.sum(a * np.conj(beta))),
-        )
+        return self._moments
 
 
 @dataclass(frozen=True)
@@ -165,32 +169,16 @@ def _bands(A: float, B: float, C: complex, n: int) -> NDArray[np.inexact]:
     (A, B, C) on the truncated space (b b+ = diag(1, ..., N-1, 0)). Rows
     beyond the truncation, and shifts that leave it, hold 0. The rows with
     d < 0 are the conjugate mirror images (p, q) -> (q, p) of these. The
-    bands are float64 for a real C and complex128 otherwise.
+    bands are float64 for a real C and complex128 otherwise. Bands 1 to 8
+    are those of ``_layout(n)`` times their coefficients.
     """
-    if n < 2:
-        raise DomainError("truncation must be at least 2 to represent the mode")
-    q = np.arange(n)
-    p = q + q[:, None]
-    # sqrt of the level, 0 beyond the truncation; index -1 reads a trailing 0
-    root = np.zeros(2 * n + 2)
-    root[:n] = np.sqrt(np.arange(n))
+    layout = _layout(n)
     k = np.zeros(2 * n)  # (A b+b + B b b+) on level p
-    k[:n] = A * np.arange(n) + B * np.append(np.arange(1.0, n), 0.0)
-    rp, rp1, rq, rq1 = root[p], root[p + 1], root[:n], root[1 : n + 1]
-    factors = np.empty((9, n, n))
-    factors[0] = k[p] + k[:n]  # -(A b+b + B b b+) rho / 2 and its mirror
-    factors[1] = rp1 * rq1  # A b rho b+
-    factors[2] = rp * rq  # B b+ rho b
-    factors[3] = rp1 * root[p + 2]  # -C b^2 rho / 2
-    factors[4] = rp1 * rq  # C b rho b
-    factors[5] = rq * root[q - 1]  # -C rho b^2 / 2
-    factors[6] = rp * root[p - 1]  # -conj(C) b+^2 rho / 2
-    factors[7] = rp * rq1  # conj(C) b+ rho b+
-    factors[8] = rq1 * root[2 : n + 2]  # -conj(C) rho b+^2 / 2
-    factors *= p < n
+    k[:n] = A * layout.levels[0] + B * layout.levels[1]
+    zero = (k[layout.p] + k[:n]) * (layout.p < n)  # -(A b+b + B b b+) rho / 2 and its mirror
     cc = np.conj(C)
     coef = np.array([-0.5, A, B, -0.5 * C, C, -0.5 * C, -0.5 * cc, cc, -0.5 * cc])
-    return coef[:, None, None] * factors
+    return coef[:, None, None] * np.concatenate([zero[None], layout.unit])
 
 
 def build_liouvillian(d: EffectiveDissipators, n_trunc: int) -> sp.csr_matrix:
@@ -260,98 +248,138 @@ def coherence_blocks(d: EffectiveDissipators, n_trunc: int) -> CoherenceBlocks:
     and e^{+i arg C}, so the blocks are built from (A, B, |C|) and are all
     float64. Each diagonal block is tridiagonal and holds only A and B, the
     same in every frame, and each coupling to d +- 2 has the three bands
-    ``up`` and ``down``. The diagonal blocks are written by one scatter
-    into one packed buffer, order 0 first, and ``diagonal`` holds views
-    into it.
+    ``up`` and ``down``. Only the even orders of ``_bands`` are formed, and
+    the diagonal blocks are written by one scatter into one packed buffer,
+    order 0 first; ``diagonal`` holds views into it. The Frobenius norm
+    takes bands 1 to 8 from the layout's sums of squares and band 0 in
+    O(N): over both signs of d it is the sum over p, q < N of (k_p + k_q)^2 / 4.
     """
-    n = n_trunc
+    n, layout = n_trunc, _layout(n_trunc)
     A, B, C = d.moments()
-    bands = _bands(A, B, abs(C), n)
-    norm = _both_signs_norm(bands, axis=1)
-    even = bands[:, ::2]
-    diagonal = tuple(_diagonal_packing(n).pack(np.float64, even))
-    theta = float(np.angle(C)) / 2.0
-    return CoherenceBlocks(n, diagonal, even[3:6], even[6:9], norm, theta)
+    c = abs(C)
+    k = np.zeros(2 * n)  # (A b+b + B b b+) on level p, as in ``_bands``
+    k[:n] = A * layout.levels[0] + B * layout.levels[1]
+    coef = np.array([A, B, -0.5 * c, c, -0.5 * c, -0.5 * c, c, -0.5 * c])
+    even = coef[:, None, None] * layout.unit[:, ::2]
+    diagonal = tuple(layout.diagonal.pack(np.float64, -0.5 * (k[layout.p[::2]] + k[:n]), even))
+    norm = float(np.sqrt(coef**2 @ layout.sums + 0.5 * (n * (k @ k) + k.sum() ** 2)))
+    return CoherenceBlocks(n, diagonal, even[2:5], even[5:8], norm, float(np.angle(C)) / 2.0)
 
 
 class _Packing(NamedTuple):
     """Where the entries of blocks go in one packed buffer, and the blocks in it.
 
-    ``pack`` writes ``source[band, order, row]`` to ``packed[target]`` for
-    each source array in one scatter, and returns the blocks as views into
-    ``packed``: (start, rows, columns) of each in ``shapes``.
+    ``pack`` writes ``source.take(index)`` (flat indices) to ``packed[target]``
+    for each source array in one scatter, and returns the blocks as views
+    into ``packed``: (start, rows, columns) of each in ``shapes``.
     """
 
     size: int
     targets: tuple[NDArray[np.intp], ...]
-    indices: tuple[tuple[NDArray[np.intp], NDArray[np.intp], NDArray[np.intp]], ...]
+    indices: tuple[NDArray[np.intp], ...]
     shapes: tuple[tuple[int, int, int], ...]
 
     def pack(self, dtype, *sources: NDArray) -> list[NDArray]:
         packed = np.zeros(self.size, dtype=dtype)
         for target, index, source in zip(self.targets, self.indices, sources):
-            packed[target] = source[index]
+            packed[target] = source.take(index)
         return [packed[a : a + r * c].reshape(r, c) for a, r, c in self.shapes]
 
 
-def _packing(size, targets, indices, shapes) -> _Packing:
-    """A read-only ``_Packing``, since each is cached and shared."""
-    for a in (*targets, *(i for index in indices for i in index)):
-        a.flags.writeable = False
-    return _Packing(size, tuple(targets), tuple(indices), tuple(shapes))
+class _Layout(NamedTuple):
+    """The arrays of the oracle that depend on the truncation N alone.
+
+    ``unit`` holds bands 1 to 8 of ``_bands`` at unit coefficients, over all
+    orders, and ``sums`` the sum of squares of each over both signs of d;
+    ``p`` is the level q + d of row (d, q), and ``levels`` holds the
+    diagonals of the truncated b+b and b b+. ``diagonal`` packs the m x m
+    tridiagonal blocks of orders 2j, m = N - 2j, from j = 0 up: row q of
+    block j takes its main diagonal from band 0 at (j, q), its upper from
+    band 1 at (j, q) and its lower from band 2 at (j, q), out of band 0 and
+    bands 1 to 8 of the even orders. ``coupling`` packs the couplings of
+    each eliminated order 2j, to and from 2j - 2, from j = 1 up: with
+    m = N - 2j, level j holds the lowering matrix L_{2j,2j-2} (m x m + 2)
+    with entry (q, q + i) = ``down[i, j, q]``, then the raising matrix
+    L_{2j-2,2j} (m + 2 x m) with entry (q + i, q) = ``up[i, j - 1, q + i]``.
+    ``placed`` is the (j, q) of every x_{2j}[q] within the truncation, and
+    ``weights`` are ``quad_variance``'s <q|b|q+1>, <q|b^2|q+2> and
+    diagonal of the truncated b b+ + b+ b.
+    """
+
+    unit: NDArray[np.float64]
+    sums: NDArray[np.float64]
+    p: NDArray[np.intp]
+    levels: NDArray[np.float64]
+    diagonal: _Packing
+    coupling: _Packing
+    placed: tuple[NDArray[np.intp], NDArray[np.intp]]
+    weights: tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]
 
 
 @functools.lru_cache(maxsize=64)
-def _diagonal_packing(n: int) -> _Packing:
-    """The m x m tridiagonal blocks of orders 2j, m = n - 2j, from j = 0 up.
+def _layout(n: int) -> _Layout:
+    """The read-only ``_Layout`` of truncation ``n``, built once and shared."""
+    if n < 2:
+        raise DomainError("truncation must be at least 2 to represent the mode")
+    q = np.arange(n)
+    p = q + q[:, None]
+    # sqrt of the level, 0 beyond the truncation; index -1 reads a trailing 0
+    root = np.zeros(2 * n + 2)
+    root[:n] = np.sqrt(q)
+    rp, rp1, rq, rq1 = root[p], root[p + 1], root[:n], root[1 : n + 1]
+    unit = np.stack(np.broadcast_arrays(
+        rp1 * rq1,  # A b rho b+
+        rp * rq,  # B b+ rho b
+        rp1 * root[p + 2],  # -C b^2 rho / 2
+        rp1 * rq,  # C b rho b
+        rq * root[q - 1],  # -C rho b^2 / 2
+        rp * root[p - 1],  # -conj(C) b+^2 rho / 2
+        rp * rq1,  # conj(C) b+ rho b+
+        rq1 * root[2 : n + 2],  # -conj(C) rho b+^2 / 2
+    )) * (p < n)
+    squares = unit * unit
+    sums = 2.0 * squares.sum(axis=(1, 2)) - squares[:, 0].sum(axis=1)
 
-    The source holds the first three ``_bands`` of the even orders: row q of
-    block j takes its main diagonal from band 0 at (j, q), its upper from
-    band 1 at (j, q) and its lower from band 2 at (j, q).
-    """
-    sizes = np.arange(n, 0, -2)
-    order, row = np.nonzero(np.arange(n) < sizes[:, None])
+    sizes = np.arange(n, 0, -2)  # m of the orders 2j = 0, 2, ...
+    order, row = np.nonzero(q < sizes[:, None])
     m = sizes[order]
     starts = np.cumsum(sizes**2) - sizes**2
     main = starts[order] + row * (m + 1)
+    at = order * n + row  # flat (j, q) in a source of shape (..., (N + 1) // 2, N)
     inner = row > 0  # rows with a lower diagonal, and the rows above them an upper one
-    target = np.concatenate([main, main[inner] - m[inner], main[inner] - 1])
-    band = np.repeat([0, 1, 2], [main.size, inner.sum(), inner.sum()])
-    order = np.concatenate([order, order[inner], order[inner]])
-    row = np.concatenate([row, row[inner] - 1, row[inner]])
-    shapes = zip(starts.tolist(), sizes.tolist(), sizes.tolist())
-    return _packing(int(np.sum(sizes**2)), [target], [(band, order, row)], shapes)
+    targets = (main, np.concatenate([main[inner] - m[inner], main[inner] - 1]))
+    indices = (at, np.concatenate([at[inner] - 1, at[inner] + sizes.size * n]))
+    shapes = tuple(zip(starts.tolist(), sizes.tolist(), sizes.tolist()))
+    diagonal = _Packing(int(np.sum(sizes**2)), targets, indices, shapes)
 
-
-@functools.lru_cache(maxsize=64)
-def _coupling_packing(n: int) -> _Packing:
-    """The couplings of each eliminated order 2j, to and from 2j - 2, from j = 1 up.
-
-    With m = n - 2j, level j holds the lowering matrix L_{2j,2j-2}
-    (m x m + 2) with entry (q, q + i) = ``down[i, j, q]``, then the raising
-    matrix L_{2j-2,2j} (m + 2 x m) with entry (q + i, q) = ``up[i, j - 1,
-    q + i]``. The sources are ``down`` and ``up``.
-    """
-    sizes = np.arange(n - 2, 0, -2)  # m of levels j = 1, 2, ...
+    sizes = sizes[1:]  # m of the levels j = 1, 2, ...
     area = sizes * (sizes + 2)
     lowering = np.cumsum(2 * area) - 2 * area
     raising = lowering + area
-    level, row = np.nonzero(np.arange(n) < sizes[:, None])
+    level, row = np.nonzero(q < sizes[:, None])
     band = np.repeat(np.arange(3), level.size)
     level, row = np.tile(level, 3), np.tile(row, 3)
     m = sizes[level]
-    targets = [lowering[level] + row * (m + 3) + band, raising[level] + row * (m + 1) + band * m]
-    indices = [(band, level + 1, row), (band, level, row + band)]
+    targets = (lowering[level] + row * (m + 3) + band, raising[level] + row * (m + 1) + band * m)
+    at = (band * (sizes.size + 1) + level) * n + row  # flat (i, j - 1, q)
     shapes = []
     for a, b, k in zip(lowering.tolist(), raising.tolist(), sizes.tolist()):
         shapes += [(a, k, k + 2), (b, k + 2, k)]
-    return _packing(int(np.sum(2 * area)), targets, indices, shapes)
+    coupling = _Packing(int(np.sum(2 * area)), targets, (at + n, at + band), tuple(shapes))
+
+    placed = np.nonzero(q + 2 * np.arange((n + 1) // 2)[:, None] < n)
+    levels = np.array([q, np.append(q[1:], 0)], dtype=float)
+    one = np.sqrt(q[1:])  # <q|b|q+1>
+    weights = (one, one[:-1] * one[1:], levels[0] + levels[1])
+    for a in (unit, sums, p, levels, *placed, *weights, *diagonal.targets, *diagonal.indices,
+              *coupling.targets, *coupling.indices):
+        a.flags.writeable = False  # shared by every caller
+    return _Layout(unit, sums, p, levels, diagonal, coupling, placed, weights)
 
 
-def _both_signs_norm(a: NDArray, axis: int = 0) -> float:
-    """2-norm of the entries of orders d >= 0, indexed along ``axis``, and their mirrors at -d."""
-    zero = a.take(0, axis=axis)
-    return float(np.sqrt(2.0 * np.vdot(a, a).real - np.vdot(zero, zero).real))
+def _both_signs_norm(a: NDArray) -> float:
+    """2-norm of the entries of orders d >= 0, indexed along axis 0, and their mirrors at -d."""
+    return float(np.sqrt(2.0 * np.vdot(a, a).real - np.vdot(a[0], a[0]).real))
 
 
 def steady_state(blocks: CoherenceBlocks) -> TruncatedState:
@@ -379,7 +407,8 @@ def steady_state(blocks: CoherenceBlocks) -> TruncatedState:
     from the outermost order inward: W_d = S_d^-1 L_{d,d-2} and
     S_{d-2} = L_{d-2,d-2} - L_{d-2,d} W_d, starting from S = L at the top.
     The couplings of every level are scattered from ``up`` and ``down`` into
-    one buffer per solve before the loop, laid out level by level from
+    one buffer per solve before the loop, by the packing that ``_layout``
+    caches for the truncation, laid out level by level from
     d = 2 outward: the dense m x (m + 2) lowering matrix L_{d,d-2}, then the
     dense (m + 2) x m raising matrix L_{d-2,d}, with m = N - d. Each level
     is then one solve, one matrix product and one subtraction.
@@ -427,7 +456,8 @@ def steady_state(blocks: CoherenceBlocks) -> TruncatedState:
     n, diagonal, up, down = blocks.n_trunc, blocks.diagonal, blocks.up, blocks.down
     dtype = np.result_type(up, down, *diagonal)
     top = len(diagonal) - 1
-    couplings = _coupling_packing(n).pack(dtype, down, up)
+    layout = _layout(n)
+    couplings = layout.coupling.pack(dtype, down, up)
     w = [None] * (top + 1)
     schur = diagonal[top]
     for j in range(top, 0, -1):
@@ -489,7 +519,7 @@ def steady_state(blocks: CoherenceBlocks) -> TruncatedState:
     if not residual <= 1e-9 * max(scale, 1.0):  # a NaN residual or norm fails too
         raise NumericalError(f"steady-state residual {residual:.3g} too large")
 
-    j, q = np.nonzero(np.arange(n) + 2 * np.arange(top + 1)[:, None] < n)
+    j, q = layout.placed
     rotation = np.exp(-2j * blocks.theta * np.arange(top + 1))  # back to theta = 0
     rho = np.zeros((n, n), dtype=complex)
     rho[q + 2 * j, q] = rotation[j] * x1[j, q]
@@ -507,18 +537,15 @@ def quad_variance(s: TruncatedState, phi: float) -> float:
     """Variance of X_phi = b e^{-i phi} + b+ e^{i phi} in the state.
 
     Tr(rho X) needs the diagonals d = +-1 of rho and Tr(rho X^2) those of
-    d = 0 and +-2, with the truncated b b+ + b+ b = diag(1, 3, ..., 2N-3, N-1).
+    d = 0 and +-2, with the truncated b b+ + b+ b = diag(1, 3, ..., 2N-3, N-1);
+    these level weights are read from ``_layout(N)``.
     """
-    rho, n = s.rho, s.n_trunc
+    rho = s.rho
     phase = np.exp(-1j * phi)
-    level = np.arange(n, dtype=float)
-    one = np.sqrt(level[1:])  # <q|b|q+1>
-    two = one[:-1] * one[1:]  # <q|b^2|q+2>
+    one, two, number = _layout(s.n_trunc).weights
     mean = (
         phase * (one @ np.diagonal(rho, -1)) + np.conj(phase) * (one @ np.diagonal(rho, 1))
     ).real
-    number = 2.0 * level + 1.0
-    number[-1] = n - 1.0
     second = (
         number @ np.diagonal(rho).real
         + (phase**2 * (two @ np.diagonal(rho, -2))).real
@@ -608,6 +635,10 @@ def converged_steady_state(d: EffectiveDissipators, *, n_max: int = 120) -> Trun
     Gaussian steady state predicts from its populations
     (``gaussian_populations``); the tail check of ``steady_state`` still
     decides, and a start that proves too low moves up one rung at a time.
+    The check bounds the tail, not the error: over the 192 crossval drive
+    sets of perfbench seeds 3, 11, 12 and 77, X1 and X2 agree with the
+    closed form to 8.2e-4 relative at worst (N = 41, where N = 40 passes
+    too); solving at the smallest N that passes would loosen that to 1.9e-3.
 
     Raises
     ------

@@ -4,14 +4,21 @@ Each reference below is a construction that a faster or narrower one
 replaced, kept as it was: the entry-by-entry arrays and the
 channel-by-channel diffusion of ``build_linear_model``, the ``np.kron``
 Lyapunov operator, the diagonal blocks of ``coherence_blocks`` filled through
-``ndarray.flat``, the stacked Jacobian of the window fit, the dict-built
+``ndarray.flat``, the whole former ``coherence_blocks``, which took the even
+orders of every band of the former ``_bands`` (``banded_coherence_blocks``
+and ``factorwise_bands``), the former
+bodies of ``quad_variance`` and ``EffectiveDissipators.moments``, which
+formed their level weights and moments on every call, the stacked Jacobian
+of the window fit, the dict-built
 Jacobian of ``fit_lorentzian`` and the whole former ``fit_lorentzian`` with
 its ``init`` and ``fixed`` dicts (``dict_fit_lorentzian``). The rewrites make
 the same floating-point operations on the same operands, so every array and
 every fit must agree to the bit, signed zeros included. So must the
 backaction line, whose former normal-equation solve (``normal_equation_line``)
 had the same weighting as the shared ``_weighted_linear_fit`` that replaced
-it. The exceptions agree to 1e-12 relative: the per-level elimination of
+it. The exceptions agree to 1e-12 relative: the generator norm of
+``coherence_blocks`` (to 1e-14), now summed from per-truncation sums of
+squares rather than over the bands; the per-level elimination of
 ``steady_state``, whose raising bands became a dense matrix product, so that
 its sums run in another order; the tomogram (``normal_equation_tomogram``),
 whose rows were multiplied by 1/sigma and are now divided by sigma; and the
@@ -57,7 +64,17 @@ from twotone.inference import (
     lorentzian,
     tomography_sweep,
 )
-from twotone.oracle import EffectiveDissipators, _bands, coherence_blocks, steady_state
+from twotone.oracle import (
+    CoherenceBlocks,
+    EffectiveDissipators,
+    TruncatedState,
+    _bands,
+    _layout,
+    coherence_blocks,
+    converged_steady_state,
+    quad_variance,
+    steady_state,
+)
 from twotone.synthesis import NoiseModel, NoisySpectrum
 from twotone.sysmodel import LOWER, TWO_PI, UPPER, Drive, DriveSet, drive_pair
 
@@ -159,10 +176,11 @@ def assert_lyapunov_operator_is_the_kron_sum(monkeypatch, cfg, ds):
     assert_same_bits(v, dynamics.CovarianceMatrix(0.5 * (x + x.T)).v)
 
 
-def blockwise_diagonal(d, n):
+def blockwise_diagonal(d, n, even=None):
     """Reference build: the diagonal blocks of ``coherence_blocks`` through ``ndarray.flat``."""
-    A, B, C = d.moments()
-    even = _bands(A, B, abs(C), n)[:, ::2]
+    if even is None:
+        A, B, C = d.moments()
+        even = _bands(A, B, abs(C), n)[:, ::2]
     diagonal = []
     for j, m in enumerate(range(n, 0, -2)):
         block = np.zeros((m, m))
@@ -173,13 +191,110 @@ def blockwise_diagonal(d, n):
     return diagonal
 
 
+def factorwise_bands(A, B, C, n):
+    """Reference build: the former ``_bands``, its square-root factors formed on each call."""
+    q = np.arange(n)
+    p = q + q[:, None]
+    root = np.zeros(2 * n + 2)
+    root[:n] = np.sqrt(np.arange(n))
+    k = np.zeros(2 * n)
+    k[:n] = A * np.arange(n) + B * np.append(np.arange(1.0, n), 0.0)
+    rp, rp1, rq, rq1 = root[p], root[p + 1], root[:n], root[1 : n + 1]
+    factors = np.empty((9, n, n))
+    factors[0] = k[p] + k[:n]
+    factors[1] = rp1 * rq1
+    factors[2] = rp * rq
+    factors[3] = rp1 * root[p + 2]
+    factors[4] = rp1 * rq
+    factors[5] = rq * root[q - 1]
+    factors[6] = rp * root[p - 1]
+    factors[7] = rp * rq1
+    factors[8] = rq1 * root[2 : n + 2]
+    factors *= p < n
+    cc = np.conj(C)
+    coef = np.array([-0.5, A, B, -0.5 * C, C, -0.5 * C, -0.5 * cc, cc, -0.5 * cc])
+    return coef[:, None, None] * factors
+
+
+def banded_coherence_blocks(d, n):
+    """Reference build: the former ``coherence_blocks``, every order of every band first.
+
+    It takes the bands of all orders from ``factorwise_bands``, their 2-norm
+    over both signs of d, and the even orders, whose diagonal blocks are
+    those of ``blockwise_diagonal``.
+    """
+    A, B, C = d.moments()
+    bands = factorwise_bands(A, B, abs(C), n)
+    zero = bands[:, 0]
+    norm = float(np.sqrt(2.0 * np.vdot(bands, bands).real - np.vdot(zero, zero).real))
+    even = bands[:, ::2]
+    diagonal = tuple(blockwise_diagonal(d, n, even))
+    return CoherenceBlocks(n, diagonal, even[3:6], even[6:9], norm, float(np.angle(C)) / 2.0)
+
+
 def assert_blocks_match_blockwise_build(d, n):
-    built = coherence_blocks(d, n).diagonal
-    reference = blockwise_diagonal(d, n)
-    assert len(built) == len(reference)
-    for block, expected in zip(built, reference):
+    built = coherence_blocks(d, n)
+    reference = banded_coherence_blocks(d, n)
+    assert len(built.diagonal) == len(reference.diagonal)
+    for block, expected in zip(built.diagonal, reference.diagonal):
         assert_same_bits(block, expected)
-        assert block.base is built[0].base  # views into one packed buffer
+        assert block.base is built.diagonal[0].base  # views into one packed buffer
+    assert_same_bits(built.up, reference.up)
+    assert_same_bits(built.down, reference.down)
+    assert built.theta == reference.theta
+    assert abs(built.norm - reference.norm) <= 1e-14 * reference.norm
+    A, B, C = d.moments()
+    for c in (abs(C), C):
+        assert_same_bits(_bands(A, B, c, n), factorwise_bands(A, B, c, n))
+
+
+def summed_moments(d):
+    """Reference: ``EffectiveDissipators.moments``, summed from the coefficients on each call."""
+    coeffs = np.array(d.collapse_coefficients())
+    a, beta = coeffs[:, 0], coeffs[:, 1]
+    return (
+        float(np.sum(np.abs(a) ** 2)),
+        float(np.sum(np.abs(beta) ** 2)),
+        complex(np.sum(a * np.conj(beta))),
+    )
+
+
+def levelwise_quad_variance(s, phi):
+    """Reference: ``quad_variance`` with its level weights formed on each call."""
+    rho, n = s.rho, s.n_trunc
+    phase = np.exp(-1j * phi)
+    level = np.arange(n, dtype=float)
+    one = np.sqrt(level[1:])  # <q|b|q+1>
+    two = one[:-1] * one[1:]  # <q|b^2|q+2>
+    mean = (
+        phase * (one @ np.diagonal(rho, -1)) + np.conj(phase) * (one @ np.diagonal(rho, 1))
+    ).real
+    number = 2.0 * level + 1.0
+    number[-1] = n - 1.0
+    second = (
+        number @ np.diagonal(rho).real
+        + (phase**2 * (two @ np.diagonal(rho, -2))).real
+        + (np.conj(phase) ** 2 * (two @ np.diagonal(rho, 2))).real
+    )
+    return float(second - mean * mean)
+
+
+def assert_moments_match_summed_build(d):
+    assert_same_bits(np.array(d.moments()), np.array(summed_moments(d)))
+
+
+def assert_quad_variance_matches_levelwise_build(state):
+    for phi in (0.0, 0.3, math.pi / 2.0, -2.0, 5.0):
+        assert_same_bits(quad_variance(state, phi), levelwise_quad_variance(state, phi))
+
+
+def layout_arrays(value):
+    """Every array of a ``_layout``, through its nested tuples."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from layout_arrays(item)
 
 
 def raise_order(up, x):
@@ -334,6 +449,16 @@ class TestLadderCases:
         for n in (2, 3, n_trunc):
             assert_blocks_match_blockwise_build(d, n)
 
+    @pytest.mark.parametrize("g_minus, plus_ratio, meas_ratio, angle, n_trunc", LADDER_CASES)
+    def test_moments_and_quad_variance_match_the_former_bodies(
+        self, mech, g_minus, plus_ratio, meas_ratio, angle, n_trunc
+    ):
+        d = EffectiveDissipators.from_drives(
+            mech, device_drives(mech, g_minus, plus_ratio, meas_ratio, angle)
+        )
+        assert_moments_match_summed_build(d)
+        assert_quad_variance_matches_levelwise_build(converged_steady_state(d))
+
     @pytest.mark.parametrize("case", range(len(LADDER_CASES)))
     def test_model_matches_elementwise_build(self, cfg, case):
         assert_model_matches_elementwise_build(cfg, ladder_drives(cfg.mech)[case])
@@ -431,6 +556,49 @@ def test_blocks_match_blockwise_build_on_device_drives(mech, drives, n):
 @given(d=dissipators, n=st.integers(min_value=2, max_value=40))
 def test_blocks_match_blockwise_build(d, n):
     assert_blocks_match_blockwise_build(d, n)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        EffectiveDissipators(gamma_m=1.0, n_thermal=0.0),
+        EffectiveDissipators(gamma_m=2.0, n_thermal=3.5),
+        EffectiveDissipators(gamma_m=1.0, n_thermal=0.5, engineered=((4.0 * np.exp(0.7j), 0.0),)),
+        EffectiveDissipators(gamma_m=1.0, n_thermal=0.0, engineered=((0.0, 0.0),)),
+    ],
+    ids=["vacuum", "thermal", "cooling", "zero_pair"],
+)
+@pytest.mark.parametrize("n", [2, 3, 8, 27])
+def test_blocks_match_banded_build_without_squeezing(d, n):
+    assert d.moments()[2] == 0  # C = 0: theta = 0 and no coupling
+    assert_blocks_match_blockwise_build(d, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=dissipators)
+def test_moments_match_summed_build(d):
+    assert_moments_match_summed_build(d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=2, max_value=30), phi=st.floats(-7.0, 7.0), seed=st.integers(0, 2**32 - 1))
+def test_quad_variance_matches_levelwise_build(n, phi, seed):
+    g = np.random.default_rng(seed).normal(size=(2, n, n))
+    rho = (g[0] + 1j * g[1]) @ (g[0] + 1j * g[1]).conj().T
+    state = TruncatedState(rho=rho / np.trace(rho).real, n_trunc=n)
+    assert_same_bits(quad_variance(state, phi), levelwise_quad_variance(state, phi))
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 41])
+def test_layout_is_read_only_and_shared(n):
+    layout = _layout(n)
+    assert _layout(n) is layout
+    arrays = list(layout_arrays(layout))
+    assert len(arrays) == 17
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0
 
 
 @settings(max_examples=15, deadline=None)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +230,32 @@ class TestTruncationPrediction:
         solved = record_solves(monkeypatch)
         with pytest.raises(DomainError, match="at least 2"):
             converged_steady_state(EffectiveDissipators(gamma_m=1.0, n_thermal=0.0), n_max=n_max)
+        assert solved == []
+
+    @pytest.mark.parametrize(
+        "gamma_m, n_thermal, engineered",
+        [
+            (math.nan, 1.0, ()),
+            (1.0, math.nan, ()),
+            (math.inf, 1.0, ()),
+            (1.0, math.inf, ()),
+            (1.0, 1.0, ((math.nan, 1.0),)),
+            (1.0, 1.0, ((3.0, complex(0.0, math.inf)),)),
+        ],
+    )
+    def test_non_finite_input_rejected_before_any_solve(
+        self, monkeypatch, gamma_m, n_thermal, engineered
+    ):
+        # accepted before, a NaN bath skipped to the last rung and failed in the SVD
+        solved = record_solves(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="finite"):
+                converged_steady_state(
+                    EffectiveDissipators(
+                        gamma_m=gamma_m, n_thermal=n_thermal, engineered=engineered
+                    )
+                )
         assert solved == []
 
 
