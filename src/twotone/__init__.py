@@ -29,6 +29,7 @@ from .dynamics import (
     driven_response,
     mechanical_marginal,
     output_spectrum,
+    spectrum_grid,
     steady_covariance,
     transparency_window_fwhm,
 )

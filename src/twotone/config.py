@@ -87,7 +87,11 @@ def _rate_ratios(value, path: str) -> list[float]:
 
 
 def _measurement_ratio(raw: dict, path: str) -> float:
-    return _rate_ratio(_require(raw, "measurement_ratio", path), f"{path}.measurement_ratio")
+    """The measurement pair's rate ratio, positive: every fitted area is divided by its rate."""
+    ratio = _rate_ratio(_require(raw, "measurement_ratio", path), f"{path}.measurement_ratio")
+    if ratio == 0:
+        raise ConfigError(f"{path}.measurement_ratio = 0: a measured scattering rate must be positive")
+    return ratio
 
 
 def _grid_points(raw: dict, path: str) -> int:
@@ -153,6 +157,8 @@ def parse_backaction_params(raw: dict, path: str) -> dict:
     """``scenario.params`` of ``backaction_sweep``."""
     _check_keys(raw, {"ratios", "pair_detuning_hz", "points"}, path)
     ratios = _rate_ratios(_require(raw, "ratios", path), f"{path}.ratios")
+    if 0.0 in ratios:  # each sets the measurement pair's rates, which fitted areas are divided by
+        raise ConfigError(f"{path}.ratios[{ratios.index(0.0)}] = 0: a measured scattering rate must be positive")
     if not max(ratios) - min(ratios) > MIN_RATIO_SPREAD * max(ratios):
         raise ConfigError(
             f"{path}.ratios must spread by more than {MIN_RATIO_SPREAD:g} of the largest "

@@ -46,6 +46,8 @@ from .sysmodel import LOWER, RESOLVED_SIDEBAND_RATIO, UPPER, DriveSet, SystemCon
 from .tables import write_csv
 
 _LYAPUNOV_RESIDUAL_RTOL = 1e-10
+# smallest eigenvalue of V + iJ that ``CovarianceMatrix.is_physical`` accepts
+_PHYSICAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -130,12 +132,12 @@ class CovarianceMatrix:
         i = 2 * mode
         return self.v[i : i + 2, i : i + 2]
 
-    def is_physical(self, tol: float = 1e-9) -> bool:
-        """Check V + i J >= 0 for the commutator convention [X, P] = 2i."""
+    def is_physical(self) -> bool:
+        """Check V + i J >= 0, to within 1e-9, for the commutator convention [X, P] = 2i."""
         j2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
         j = np.kron(np.eye(3), j2)
         eig = np.linalg.eigvalsh(self.v + 1j * j)
-        return bool(eig.min() > -tol)
+        return bool(eig.min() > -_PHYSICAL_TOL)
 
 
 @dataclass(frozen=True)
@@ -292,6 +294,8 @@ def steady_covariance(m: LinearModel) -> CovarianceMatrix:
 
     The equation is one linear system in the entries of V,
     (I (x) A + A (x) I) vec(V) = -vec(D), 36 x 36 for the six quadratures.
+    Its solution is symmetrized once, by ``CovarianceMatrix``, and the
+    residual is checked on that symmetric V.
 
     Raises
     ------
@@ -315,7 +319,8 @@ def steady_covariance(m: LinearModel) -> CovarianceMatrix:
     except np.linalg.LinAlgError as exc:
         cond = np.linalg.cond(m.drift)
         raise NumericalError(f"Lyapunov solve failed (cond(A) = {cond:.3g})") from exc
-    v = 0.5 * (v + v.T)
+    cov = CovarianceMatrix(v)
+    v = cov.v
     residual = np.linalg.norm(m.drift @ v + v @ m.drift.T + m.diffusion)
     bound = _LYAPUNOV_RESIDUAL_RTOL * np.linalg.norm(m.diffusion)
     if not residual <= bound:  # a NaN residual fails too
@@ -323,7 +328,7 @@ def steady_covariance(m: LinearModel) -> CovarianceMatrix:
             f"Lyapunov residual {residual:.3g} exceeds {bound:.3g} "
             f"(cond(A) = {np.linalg.cond(m.drift):.3g})"
         )
-    return CovarianceMatrix(v)
+    return cov
 
 
 def mechanical_marginal(v: CovarianceMatrix) -> QuadratureMoments:
@@ -340,23 +345,15 @@ def effective_linewidth(cfg: SystemConfig, ds: DriveSet) -> float:
     return rate
 
 
-def spectrum_grid(
-    cfg: SystemConfig,
-    ds: DriveSet,
-    *,
-    points: int = 2001,
-    span: float | None = None,
-) -> NDArray[np.float64]:
-    """Symmetric laboratory-offset grid covering the mechanical features.
+def spectrum_grid(m: LinearModel, *, points: int, span: float | None = None) -> NDArray[np.float64]:
+    """Symmetric laboratory-offset grid of ``points`` covering the mechanical features.
 
     The default span is ten effective mechanical linewidths beyond the
-    outermost sideband feature (set by the mechanical frame shift when the
-    measurement pair is detuned).
+    outermost sideband feature, set by the model's mechanical frame shift
+    s_b when the measurement pair is detuned.
     """
     if span is None:
-        width = abs(effective_linewidth(cfg, ds))
-        _, _, s_b = _solve_frame_shifts(ds)
-        span = 10.0 * width + 2.0 * abs(s_b)
+        span = 10.0 * abs(effective_linewidth(m.cfg, m.ds)) + 2.0 * abs(m.frame_shifts[2])
     return np.linspace(-span, span, points)
 
 
@@ -445,13 +442,7 @@ def _resolvent_solve(
     return ws
 
 
-def output_spectrum(
-    m: LinearModel,
-    cavity_index: int,
-    grid: NDArray[np.float64] | None = None,
-    *,
-    points: int = 2001,
-) -> Spectrum:
+def output_spectrum(m: LinearModel, cavity_index: int, grid: NDArray[np.float64]) -> Spectrum:
     """Emitted photon-flux spectral density of one cavity.
 
     The output field is sqrt(kappa_ext) a - a_in. Writing it in terms of all
@@ -471,15 +462,13 @@ def output_spectrum(
     cavity_index:
         Cavity whose output is analyzed (1 or 2).
     grid:
-        Laboratory frequency offsets from that cavity's resonance (rad/s).
-        Defaults to :func:`spectrum_grid`.
+        Laboratory frequency offsets from that cavity's resonance (rad/s),
+        such as those of :func:`spectrum_grid`.
     """
     if cavity_index not in (1, 2):
         raise DomainError(f"cavity index must be 1 or 2, got {cavity_index}")
     if not m.is_stable:
         raise InstabilityError("cannot evaluate the spectrum of an unstable model")
-    if grid is None:
-        grid = spectrum_grid(m.cfg, m.ds, points=points)
     grid = _frequency_grid(grid)
 
     cav = m.cfg.cavity(cavity_index)

@@ -46,34 +46,29 @@ class LorentzianFit:
     zero_area: bool = False
 
     def to_record(self) -> dict:
+        """The fields of ``_FIT_FIELDS`` by record key, those in Hz divided by 2 pi."""
         return {
-            "center_hz": self.center / TWO_PI,
-            "fwhm_hz": self.fwhm / TWO_PI,
-            "area": self.area,
-            "background": self.background,
-            "center_err_hz": self.center_err / TWO_PI,
-            "fwhm_err_hz": self.fwhm_err / TWO_PI,
-            "area_err": self.area_err,
-            "background_err": self.background_err,
-            "chi2_dof": self.chi2_dof,
-            "converged": self.converged,
-            "zero_area": self.zero_area,
+            key: getattr(self, name) / TWO_PI if hz else getattr(self, name)
+            for key, name, hz, _ in _FIT_FIELDS
         }
 
 
-FIT_RECORD_UNITS = {
-    "center_hz": "Hz offset from the analysis cavity resonance",
-    "fwhm_hz": "Hz",
-    "area": "photons/s (scattered-photon units)",
-    "background": "photons/s/Hz",
-    "center_err_hz": "Hz",
-    "fwhm_err_hz": "Hz",
-    "area_err": "photons/s",
-    "background_err": "photons/s/Hz",
-    "chi2_dof": "dimensionless",
-    "converged": "boolean",
-    "zero_area": "boolean",
-}
+# Every field of a fit record: its key, the ``LorentzianFit`` attribute it
+# holds, whether that angular frequency is written in Hz, and its unit
+_FIT_FIELDS = (
+    ("center_hz", "center", True, "Hz offset from the analysis cavity resonance"),
+    ("fwhm_hz", "fwhm", True, "Hz"),
+    ("area", "area", False, "photons/s (scattered-photon units)"),
+    ("background", "background", False, "photons/s/Hz"),
+    ("center_err_hz", "center_err", True, "Hz"),
+    ("fwhm_err_hz", "fwhm_err", True, "Hz"),
+    ("area_err", "area_err", False, "photons/s"),
+    ("background_err", "background_err", False, "photons/s/Hz"),
+    ("chi2_dof", "chi2_dof", False, "dimensionless"),
+    ("converged", "converged", False, "boolean"),
+    ("zero_area", "zero_area", False, "boolean"),
+)
+FIT_RECORD_UNITS = {key: unit for key, _, _, unit in _FIT_FIELDS}
 
 
 def lorentzian(freq: NDArray, center: float, fwhm: float, area: float, background: float):

@@ -46,6 +46,9 @@ _EIGENVALUE_TOL = 1e-10
 # quadratic in b and b+: within the coherence order d = p - q, to d + 2 with
 # q shifted by 0, -1, -2, and to d - 2 with q shifted by 0, +1, +2
 _SHIFTS = ((0, 0), (1, 1), (-1, -1), (2, 0), (1, -1), (0, -2), (-2, 0), (-1, 1), (0, 2))
+# Fock truncations ``converged_steady_state`` tries in turn: 8, then 1.5x
+# steps rounded up, capped at 120
+_LADDER = (8, 12, 18, 27, 41, 62, 93, 120)
 
 
 @dataclass(frozen=True)
@@ -316,9 +319,13 @@ class _Layout(NamedTuple):
     weights: tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=len(_LADDER))
 def _layout(n: int) -> _Layout:
-    """The read-only ``_Layout`` of truncation ``n``, built once and shared."""
+    """The read-only ``_Layout`` of truncation ``n``, built once and shared.
+
+    The cache holds one layout per rung of ``_LADDER``, about 112 N^2 bytes
+    each and 3.3 MB for all eight.
+    """
     if n < 2:
         raise DomainError("truncation must be at least 2 to represent the mode")
     q = np.arange(n)
@@ -603,16 +610,8 @@ def gaussian_populations(v: NDArray[np.float64], size: int) -> NDArray[np.float6
     return np.convolve(*series)[:size]
 
 
-def _truncation_ladder(n_max: int) -> list[int]:
-    """Truncations to try in turn: 8 or a smaller ``n_max``, then 1.5x steps capped at it."""
-    rungs = [min(8, n_max)]
-    while rungs[-1] < n_max:
-        rungs.append(min(n_max, int(np.ceil(1.5 * rungs[-1]))))
-    return rungs
-
-
-def _predicted_rung(d: EffectiveDissipators, rungs: list[int]) -> int:
-    """Index of the first rung N whose Gaussian tail P(N - 1) is below threshold.
+def _predicted_rung(d: EffectiveDissipators) -> int:
+    """Index in ``_LADDER`` of the first rung N whose Gaussian tail P(N - 1) is below threshold.
 
     An anti-damped bath has no Gaussian steady state; its search starts at
     the first rung.
@@ -621,36 +620,33 @@ def _predicted_rung(d: EffectiveDissipators, rungs: list[int]) -> int:
         v = gaussian_covariance(d)
     except InstabilityError:
         return 0
-    p = gaussian_populations(v, rungs[-1])
+    p = gaussian_populations(v, _LADDER[-1])
     return next(
-        (i for i, n in enumerate(rungs) if p[n - 1] < TAIL_THRESHOLD), len(rungs) - 1
+        (i for i, n in enumerate(_LADDER) if p[n - 1] < TAIL_THRESHOLD), len(_LADDER) - 1
     )
 
 
-def converged_steady_state(d: EffectiveDissipators, *, n_max: int = 120) -> TruncatedState:
+def converged_steady_state(d: EffectiveDissipators) -> TruncatedState:
     """Steady state at the first truncation whose tail check passes.
 
-    Truncations follow the ladder 8, then 1.5x steps up to ``n_max``; an
-    ``n_max`` below 8 is the only rung. The search starts at the rung the
-    Gaussian steady state predicts from its populations
-    (``gaussian_populations``); the tail check of ``steady_state`` still
-    decides, and a start that proves too low moves up one rung at a time.
-    The check bounds the tail, not the error: over the 192 crossval drive
-    sets of perfbench seeds 3, 11, 12 and 77, X1 and X2 agree with the
-    closed form to 8.2e-4 relative at worst (N = 41, where N = 40 passes
-    too); solving at the smallest N that passes would loosen that to 1.9e-3.
+    Truncations follow ``_LADDER``: 8, then 1.5x steps rounded up, to 120.
+    The search starts at the rung the Gaussian steady state predicts from
+    its populations (``gaussian_populations``); the tail check of
+    ``steady_state`` still decides, and a start that proves too low moves
+    up one rung at a time. The check bounds the tail, not the error: over
+    the 192 crossval drive sets of perfbench seeds 3, 11, 12 and 77, X1 and
+    X2 agree with the closed form to 8.2e-4 relative at worst (N = 41,
+    where N = 40 passes too); solving at the smallest N that passes would
+    loosen that to 1.9e-3.
 
     Raises
     ------
-    DomainError
-        If ``n_max`` is below 2, too small to represent the mode.
+    TruncationError
+        If the tail check fails at the last rung, N = 120, as well.
     """
-    if n_max < 2:
-        raise DomainError("truncation must be at least 2 to represent the mode")
-    rungs = _truncation_ladder(n_max)
-    for n in rungs[_predicted_rung(d, rungs) :]:
+    for n in _LADDER[_predicted_rung(d) :]:
         try:
             return steady_state(coherence_blocks(d, n))
         except TruncationError:
-            if n == rungs[-1]:
+            if n == _LADDER[-1]:
                 raise

@@ -121,13 +121,15 @@ class _Run:
     def measure(self, ds, cavity, stream, tag, fit, *, points, span=None):
         """One synthesized measurement of a cavity's output, fitted and written.
 
-        ``fit`` maps the noisy spectrum to the fit result. It runs before the
-        spectrum is written as ``{tag}.csv``, because a fit that follows the
-        write of its own spectrum is measurably slower. Returns the ideal
-        spectrum and the fit result.
+        The grid is ``spectrum_grid`` of the drive set's model, ``points``
+        offsets over ``span`` or its default. ``fit`` maps the noisy
+        spectrum to the fit result. It runs before the spectrum is written
+        as ``{tag}.csv``, because a fit that follows the write of its own
+        spectrum is measurably slower. Returns the ideal spectrum and the
+        fit result.
         """
-        grid = spectrum_grid(self.cfg, ds, points=points, span=span)
-        spectrum = output_spectrum(build_linear_model(self.cfg, ds), cavity, grid)
+        m = build_linear_model(self.cfg, ds)
+        spectrum = output_spectrum(m, cavity, spectrum_grid(m, points=points, span=span))
         noisy = synthesize(spectrum, self.noise, stream=stream)
         result = fit(noisy)
         write_noisy_csv(noisy, self.out_dir / f"{tag}.csv")
@@ -189,13 +191,15 @@ def run_scenario(
 ) -> RunManifest:
     """Execute a scenario and write its artifacts under ``out_dir``.
 
-    A failure at any sweep point still writes the manifest, with the failed
-    point identified in ``failure_point``, before the error propagates;
-    artifacts of the completed points are preserved.
+    A ``seed`` override replaces the configured seed, and is checked,
+    before ``out_dir`` is made. A failure at any sweep point still writes
+    the manifest, with the failed point identified in ``failure_point``,
+    before the error propagates; artifacts of the completed points are
+    preserved.
     """
+    noise = scenario.noise if seed is None else replace(scenario.noise, seed=seed)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    noise = scenario.noise if seed is None else replace(scenario.noise, seed=seed)
     manifest = RunManifest(
         toolkit_version=__version__,
         scenario=scenario.name,
@@ -380,16 +384,15 @@ def _run_tomography(run: _Run, ds: DriveSet, params: dict) -> None:
 def _run_driven_response(run: _Run, ds: DriveSet, params: dict) -> None:
     """Complex reflection of a weak probe across the transparency window."""
     cavity = params["cavity"]
-    span = params.get("span")
-    if span is None:
-        span = 6.0 * abs(effective_linewidth(run.cfg, ds))
+    width = effective_linewidth(run.cfg, ds)
+    span = params.get("span", 6.0 * abs(width))
     grid = np.linspace(-span, span, params["points"])
     s11 = driven_response(run.cfg, ds, cavity, grid)
     run.table("response.csv", ["offset_hz", "re_s11", "im_s11"], (grid / TWO_PI, s11.real, s11.imag))
     fwhm = transparency_window_fwhm(run.cfg, ds, cavity)
     run.record(
         "summary.json",
-        {"window_fwhm_hz": fwhm / TWO_PI, "damping_sum_hz": effective_linewidth(run.cfg, ds) / TWO_PI},
+        {"window_fwhm_hz": fwhm / TWO_PI, "damping_sum_hz": width / TWO_PI},
     )
 
 

@@ -29,7 +29,8 @@ class NoiseModel:
 
     ``floor`` is the added flux density in the same scattered-photon units
     as the ideal spectrum, ``averages`` the number M of averaged
-    periodograms, ``seed`` the base RNG seed.
+    periodograms, ``seed`` the base RNG seed, which numpy's ``SeedSequence``
+    takes only when it is non-negative.
     """
 
     floor: float = 20.0
@@ -43,6 +44,8 @@ class NoiseModel:
             raise DomainError("averages must be at least 1")
         if int(self.averages) != self.averages:
             raise DomainError("averages must be an integer")
+        if self.seed < 0:
+            raise DomainError(f"noise seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

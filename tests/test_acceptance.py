@@ -137,7 +137,7 @@ def test_criterion_2_oracle_validation():
             n_thermal=n_th,
             engineered=((math.sqrt(g_minus), math.sqrt(g_plus)),),
         )
-        state = converged_steady_state(d, n_max=60)
+        state = converged_steady_state(d)
         largest_n = max(largest_n, state.n_trunc)
         dev = max(
             abs(quad_variance(state, 0.0) / v1 - 1.0),

@@ -11,9 +11,14 @@ bodies of ``quad_variance`` and ``EffectiveDissipators.moments``, which
 formed their level weights and moments on every call, the stacked Jacobian
 of the window fit, the dict-built
 Jacobian of ``fit_lorentzian`` and the whole former ``fit_lorentzian`` with
-its ``init`` and ``fixed`` dicts (``dict_fit_lorentzian``). The rewrites make
-the same floating-point operations on the same operands, so every array and
-every fit must agree to the bit, signed zeros included. So must the
+its ``init`` and ``fixed`` dicts (``dict_fit_lorentzian``), the former
+``spectrum_grid``, which took the drive set and solved its frame shifts again
+(``drive_set_grid``), the former ``steady_covariance``, which symmetrized V
+twice (``twice_symmetrized_covariance``), the former ``to_record`` and its
+units dict, written key by key (``keywise_record``, ``KEYWISE_UNITS``), and
+the former truncation ladder with its ``n_max`` (``capped_ladder``). The
+rewrites make the same floating-point operations on the same operands, so
+every array and every fit must agree to the bit, signed zeros included. So must the
 backaction line, whose former normal-equation solve (``normal_equation_line``)
 had the same weighting as the shared ``_weighted_linear_fit`` that replaced
 it. The exceptions agree to 1e-12 relative: the generator norm of
@@ -36,10 +41,12 @@ from hypothesis import strategies as st
 
 from conftest import (
     LADDER_CASES,
+    angle,
     device_drive_set,
     device_drives,
     dissipators,
     lab_frame,
+    qnd_config,
     resonant_pairs,
 )
 from twotone import dynamics, inference, lsq
@@ -52,11 +59,13 @@ from twotone.dynamics import (
     build_linear_model,
     driven_response,
     effective_linewidth,
+    spectrum_grid,
     steady_covariance,
     transparency_window_fwhm,
 )
 from twotone.errors import DomainError, FitError, NumericalError, TruncationError
 from twotone.inference import (
+    FIT_RECORD_UNITS,
     LineFit,
     LorentzianFit,
     backaction_line_fit,
@@ -65,6 +74,7 @@ from twotone.inference import (
     tomography_sweep,
 )
 from twotone.oracle import (
+    _LADDER,
     CoherenceBlocks,
     EffectiveDissipators,
     TruncatedState,
@@ -174,6 +184,36 @@ def assert_lyapunov_operator_is_the_kron_sum(monkeypatch, cfg, ds):
     assert_same_bits(a, kron_sum)
     x = np.linalg.solve(kron_sum, -m.diffusion.ravel()).reshape(6, 6)
     assert_same_bits(v, dynamics.CovarianceMatrix(0.5 * (x + x.T)).v)
+
+
+def twice_symmetrized_covariance(m):
+    """Reference build: the former ``steady_covariance``, which symmetrized V
+    before ``CovarianceMatrix`` symmetrized it again."""
+    n = m.drift.shape[0]
+    eye = np.eye(n)
+    kron_sum = np.multiply(eye[:, None, :, None], m.drift[None, :, None, :])
+    kron_sum += m.drift[:, None, :, None] * eye[None, :, None, :]
+    v = np.linalg.solve(kron_sum.reshape(n * n, n * n), -m.diffusion.ravel()).reshape(n, n)
+    return dynamics.CovarianceMatrix(0.5 * (v + v.T))
+
+
+def drive_set_grid(cfg, ds, *, points=2001, span=None):
+    """Reference build: the former ``spectrum_grid``, which took the drive set
+    and solved its mechanical frame shift again."""
+    if span is None:
+        width = abs(effective_linewidth(cfg, ds))
+        _, _, s_b = _solve_frame_shifts(ds)
+        span = 10.0 * width + 2.0 * abs(s_b)
+    return np.linspace(-span, span, points)
+
+
+def assert_grid_and_covariance_match_the_former_builds(cfg, ds):
+    m = build_linear_model(cfg, ds)
+    for points, span in ((2001, None), (41, None), (2, 3.0e5)):
+        expected = drive_set_grid(cfg, ds, points=points, span=span)
+        assert_same_bits(spectrum_grid(m, points=points, span=span), expected)
+    if m.is_stable:
+        assert_same_bits(steady_covariance(m).v, twice_symmetrized_covariance(m).v)
 
 
 def blockwise_diagonal(d, n, even=None):
@@ -488,6 +528,7 @@ class TestLadderCases:
             assert_model_matches_elementwise_build(cfg, ds)
             assert_diffusion_matches_channelwise_build(cfg, ds)
             assert_lyapunov_operator_is_the_kron_sum(monkeypatch, cfg, ds)
+            assert_grid_and_covariance_match_the_former_builds(cfg, ds)
 
 
 @settings(max_examples=30, deadline=None)
@@ -496,8 +537,22 @@ def test_diffusion_and_lyapunov_operator_match_the_old_builds(cfg, drives):
     ds = device_drive_set(cfg.mech, *drives)
     assert_model_matches_elementwise_build(cfg, ds)
     assert_diffusion_matches_channelwise_build(cfg, ds)
+    assert_grid_and_covariance_match_the_former_builds(cfg, ds)
     with pytest.MonkeyPatch.context() as mp:
         assert_lyapunov_operator_is_the_kron_sum(mp, cfg, ds)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    ratio=st.floats(min_value=0.01, max_value=3.0),
+    detuning=st.one_of(st.just(0.0), st.floats(min_value=-2e6, max_value=2e6)),
+    angle=angle,
+)
+def test_grid_and_covariance_match_the_former_builds_on_detuned_pairs(cfg, ratio, detuning, angle):
+    # a detuned measurement pair shifts the mechanical frame, which widens the grid
+    assert_grid_and_covariance_match_the_former_builds(
+        cfg, qnd_config(cfg.mech, ratio, angle=angle, detuning=detuning)
+    )
 
 
 # tones on any of the four slots, each absent, at zero rate or driven, with
@@ -587,6 +642,27 @@ def test_quad_variance_matches_levelwise_build(n, phi, seed):
     rho = (g[0] + 1j * g[1]) @ (g[0] + 1j * g[1]).conj().T
     state = TruncatedState(rho=rho / np.trace(rho).real, n_trunc=n)
     assert_same_bits(quad_variance(state, phi), levelwise_quad_variance(state, phi))
+
+
+def capped_ladder(n_max):
+    """Reference build: the former truncation ladder of ``converged_steady_state``,
+    8 or a smaller ``n_max``, then 1.5x steps capped at it."""
+    rungs = [min(8, n_max)]
+    while rungs[-1] < n_max:
+        rungs.append(min(n_max, int(np.ceil(1.5 * rungs[-1]))))
+    return rungs
+
+
+def test_ladder_is_the_former_default_ladder():
+    assert _LADDER == tuple(capped_ladder(120))
+
+
+def test_layout_cache_keeps_one_layout_per_rung():
+    for n in (*range(2, 30), *_LADDER):
+        _layout(n)
+    info = _layout.cache_info()
+    assert info.maxsize == len(_LADDER)
+    assert info.currsize == len(_LADDER)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 41])
@@ -803,6 +879,57 @@ def assert_fit_matches_dict_interface(ns, fwhm, center):
 def test_fit_matches_dict_interface_on_the_scenario_fits(fit_corpus, corpus):
     for ns, fwhm, center in fit_corpus[corpus]:
         assert_fit_matches_dict_interface(ns, fwhm, center)
+
+
+def keywise_record(fit):
+    """Reference build: the former ``LorentzianFit.to_record``, key by key."""
+    return {
+        "center_hz": fit.center / TWO_PI,
+        "fwhm_hz": fit.fwhm / TWO_PI,
+        "area": fit.area,
+        "background": fit.background,
+        "center_err_hz": fit.center_err / TWO_PI,
+        "fwhm_err_hz": fit.fwhm_err / TWO_PI,
+        "area_err": fit.area_err,
+        "background_err": fit.background_err,
+        "chi2_dof": fit.chi2_dof,
+        "converged": fit.converged,
+        "zero_area": fit.zero_area,
+    }
+
+
+# The former ``FIT_RECORD_UNITS``, written out beside ``keywise_record``
+KEYWISE_UNITS = {
+    "center_hz": "Hz offset from the analysis cavity resonance",
+    "fwhm_hz": "Hz",
+    "area": "photons/s (scattered-photon units)",
+    "background": "photons/s/Hz",
+    "center_err_hz": "Hz",
+    "fwhm_err_hz": "Hz",
+    "area_err": "photons/s",
+    "background_err": "photons/s/Hz",
+    "chi2_dof": "dimensionless",
+    "converged": "boolean",
+    "zero_area": "boolean",
+}
+
+
+def assert_record_matches_keywise_build(fit):
+    got, expected = fit.to_record(), keywise_record(fit)
+    assert list(got) == list(expected)
+    for key, value in expected.items():
+        assert type(got[key]) is type(value)
+        assert_same_bits(got[key], value)
+
+
+@pytest.mark.parametrize("corpus", ["backaction", "single", "tomography_4"])
+def test_fit_record_matches_keywise_build_on_the_scenario_fits(fit_corpus, corpus):
+    assert list(FIT_RECORD_UNITS.items()) == list(KEYWISE_UNITS.items())
+    for ns, fwhm, center in fit_corpus[corpus]:
+        fit = fit_outcome(fit_lorentzian, ns, fwhm=fwhm, center=center)
+        if isinstance(fit, LorentzianFit):
+            assert_record_matches_keywise_build(fit)
+            assert_record_matches_keywise_build(dataclasses.replace(fit, center=-0.0, zero_area=True))
 
 
 def stalled(fun, jac, x0, **tolerances):

@@ -1,12 +1,17 @@
+import contextlib
 import importlib.util
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twotone
 from twotone.cli import main
@@ -238,12 +243,34 @@ class TestExitCodes:
             # spread by more than 1e-4 of the largest, but too close for the
             # line fit's rank test so far below a ratio of 1
             ("backaction_sweep.json", {"ratios": [0.1, 0.10002]}),
+            # every fitted area is divided by the measured rate, so it must
+            # not vanish; a zero squeeze ratio is pure cooling and stays valid
+            ("squeeze_sweep.json", {"measurement_ratio": 0}),
+            ("tomography.json", {"measurement_ratio": 0}),
+            ("tomography_cooling.json", {"measurement_ratio": 0.0}),
+            ("backaction_sweep.json", {"ratios": [0.0, 1.0]}),
+            ("backaction_sweep.json", {"ratios": [1.0, 0.0]}),
         ],
     )
     def test_bad_sweep_value_exits_two_before_any_artifact(self, tmp_path, capsys, name, params):
         assert main(self.bundled_with(tmp_path, name, **params)) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: scenario.params.")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("configured, override", [(-1, None), (7, -5)])
+    def test_negative_seed_exits_two_before_any_artifact(self, tmp_path, capsys, configured, override):
+        # numpy's SeedSequence takes no negative seed, whether configured or given on the command line
+        document = bundled_document("tomography.json")
+        document["scenario"]["noise"]["seed"] = configured
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(document))
+        argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+        assert main(argv + ([] if override is None else ["--seed", str(override)])) == 2
+        err = capsys.readouterr().err
+        seed = configured if override is None else override
+        assert err.startswith(f"configuration error: noise seed must be non-negative, got {seed}")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
@@ -312,6 +339,51 @@ class TestExitCodes:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert manifest["failure"].startswith("FitError")
+
+
+# Values that each replace one field of a bundled configuration's params or
+# noise section, or the first or last entry of a list there
+PERTURBATIONS = (0, -1, 1e-12, 1e12, math.nan, math.inf)
+
+
+def perturbable_fields(document):
+    """(section, key, list index or None) of every params and noise field."""
+    fields = []
+    for section in ("params", "noise"):
+        for key, value in document["scenario"][section].items():
+            indices = (0, len(value) - 1) if isinstance(value, list) else (None,)
+            fields += [(section, key, i) for i in indices]
+    return fields
+
+
+@st.composite
+def perturbed_documents(draw):
+    """A bundled configuration on at most 101 grid points, with one field perturbed."""
+    document = bundled_document(draw(st.sampled_from(BUNDLED)))
+    params = document["scenario"]["params"]
+    params["points"] = min(params.get("points", 2001), 101)
+    section, key, index = draw(st.sampled_from(perturbable_fields(document)))
+    value = draw(st.sampled_from(PERTURBATIONS))
+    if index is None:
+        document["scenario"][section][key] = value
+    else:
+        document["scenario"][section][key][index] = value
+    return document
+
+
+@settings(max_examples=120, deadline=None)
+@given(document=perturbed_documents())
+def test_schema_valid_input_never_exits_one(document):
+    # a configuration runs, or exits with a documented code: 2 config, 3
+    # instability, 4 numerics; an uncaught exception fails the test itself
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(document))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", "--config", str(path), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
 
 
 class TestScenarioSchema:

@@ -254,7 +254,7 @@ class TestOutputSpectrum:
         gamma_meas = 0.9 * 529.0 * mech.gamma
         model = build_linear_model(cfg, ds)
         n_tot = occupancy_from_variances(mechanical_marginal(steady_covariance(model)))
-        spectrum = output_spectrum(model, 1, spectrum_grid(cfg, ds, points=16001))
+        spectrum = output_spectrum(model, 1, spectrum_grid(model, points=16001))
         negative = spectrum.freq < 0
         peak_neg = spectrum.freq[negative][np.argmax(spectrum.flux[negative])]
         peak_pos = spectrum.freq[~negative][np.argmax(spectrum.flux[~negative])]
@@ -344,7 +344,7 @@ class TestOutputSpectrum:
     def test_unstable_model_rejected(self, cfg, mech):
         model = build_linear_model(cfg, DriveSet(drive_pair(2, mech.gamma, 30.0 * mech.gamma)))
         with pytest.raises(InstabilityError):
-            output_spectrum(model, 2)
+            output_spectrum(model, 2, spectrum_grid(model, points=101))
 
     def test_wide_grid_warns_in_meta(self, cfg, cooling_529):
         model = build_linear_model(cfg, cooling_529)
@@ -368,7 +368,7 @@ class TestOutputSpectrum:
 
     def test_csv_round_trip(self, cfg, cooling_529, tmp_path):
         model = build_linear_model(cfg, cooling_529)
-        spectrum = output_spectrum(model, 2, points=101)
+        spectrum = output_spectrum(model, 2, spectrum_grid(model, points=101))
         path = tmp_path / "spectrum.csv"
         write_spectrum_csv(spectrum, path)
         lines = path.read_text().splitlines()
@@ -432,7 +432,7 @@ class TestBatchedResolvent:
     @pytest.mark.parametrize("cavity", [1, 2])
     @pytest.mark.parametrize("points", [1, 801])
     def test_output_spectrum_matches_loop(self, model, cavity, points):
-        grid = spectrum_grid(model.cfg, model.ds, points=points)
+        grid = spectrum_grid(model, points=points)
         spectrum = output_spectrum(model, cavity, grid)
         assert spectrum.flux.shape == grid.shape
         np.testing.assert_allclose(spectrum.flux, looped_flux(model, cavity, grid), rtol=1e-13)
@@ -440,7 +440,7 @@ class TestBatchedResolvent:
     @pytest.mark.parametrize("cavity", [1, 2])
     @pytest.mark.parametrize("points", [1, 801])
     def test_driven_response_matches_loop(self, model, cavity, points):
-        grid = spectrum_grid(model.cfg, model.ds, points=points)
+        grid = spectrum_grid(model, points=points)
         s11 = driven_response(model.cfg, model.ds, cavity, grid)
         assert s11.shape == grid.shape
         np.testing.assert_allclose(s11, looped_response(model, cavity, grid), rtol=1e-13)
@@ -459,7 +459,7 @@ class TestBatchedResolvent:
         model = dataclasses.replace(
             model, complex_drift=model.complex_drift + 300.0 * mech.gamma * kick
         )
-        grid = spectrum_grid(cfg, model.ds, points=201)
+        grid = spectrum_grid(model, points=201)
         spectrum = output_spectrum(model, 1, grid)
         np.testing.assert_allclose(spectrum.flux, looped_flux(model, 1, grid), rtol=1e-13)
 
@@ -467,7 +467,7 @@ class TestBatchedResolvent:
     def test_no_per_frequency_loop(self, model, entry):
         # the number of Python and C calls made inside must not grow with the grid
         def calls(points):
-            grid = spectrum_grid(model.cfg, model.ds, points=points)
+            grid = spectrum_grid(model, points=points)
             args = (model, 1, grid) if entry is output_spectrum else (model.cfg, model.ds, 1, grid)
             entry(*args)
             count = 0
@@ -607,7 +607,7 @@ def test_warm_hot_kernels_take_no_page_faults(cfg, mech, tmp_path, kernel):
     from conftest import qnd_config
 
     model = build_linear_model(cfg, qnd_config(mech, 1.0, detuning=TWO_PI * 5e4))
-    grid = spectrum_grid(cfg, model.ds, points=4001)
+    grid = spectrum_grid(model, points=4001)
     rng = np.random.default_rng(16)
     flux = output_spectrum(model, 1, grid).flux
     columns = (grid, flux, rng.normal(size=4001), 1e-12 * rng.normal(size=4001))

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from twotone.analytic import occupancy_from_variances, quadrature_variances
-from twotone.dynamics import build_linear_model, mechanical_marginal, output_spectrum, steady_covariance
+from twotone.dynamics import (
+    build_linear_model,
+    mechanical_marginal,
+    output_spectrum,
+    spectrum_grid,
+    steady_covariance,
+)
 from twotone.errors import DomainError, FitError
 from twotone.inference import (
     FIT_RECORD_UNITS,
@@ -49,7 +55,7 @@ class TestFitLorentzian:
 
     def test_cooling_pipeline_within_three_sigma(self, cfg, mech, cooling_529):
         model = build_linear_model(cfg, cooling_529)
-        spectrum = output_spectrum(model, 2)
+        spectrum = output_spectrum(model, 2, spectrum_grid(model, points=2001))
         ns = synthesize(spectrum, NoiseModel(floor=20.0, averages=10_000, seed=1))
         fit = fit_lorentzian(ns)
         n_true = occupancy_from_variances(mechanical_marginal(steady_covariance(model)))
@@ -70,7 +76,7 @@ class TestFitLorentzian:
         from twotone.dynamics import effective_linewidth
 
         model = build_linear_model(cfg, cooling_529)
-        spectrum = output_spectrum(model, 2)
+        spectrum = output_spectrum(model, 2, spectrum_grid(model, points=2001))
         n_true = occupancy_from_variances(mechanical_marginal(steady_covariance(model)))
         truth = 529.0 * mech.gamma * n_true
         width = effective_linewidth(cfg, cooling_529)
@@ -394,7 +400,7 @@ class TestRecords:
         from twotone.synthesis import read_noisy_csv, write_noisy_csv
 
         model = build_linear_model(cfg, cooling_529)
-        ns = synthesize(output_spectrum(model, 2), NoiseModel(seed=6))
+        ns = synthesize(output_spectrum(model, 2, spectrum_grid(model, points=2001)), NoiseModel(seed=6))
         path = tmp_path / "noisy.csv"
         write_noisy_csv(ns, path)
         direct = fit_lorentzian(ns)

@@ -201,10 +201,11 @@ class TestTruncationPrediction:
         assert solved == [n_trunc]
 
     def test_state_hotter_than_the_budget_raises(self, monkeypatch):
+        # P(119) of a thermal state at n = 40 is 1.3e-3, so the search starts at the top rung
         solved = record_solves(monkeypatch)
         with pytest.raises(TruncationError):
-            converged_steady_state(EffectiveDissipators(gamma_m=1.0, n_thermal=40.0), n_max=60)
-        assert solved == [60]
+            converged_steady_state(EffectiveDissipators(gamma_m=1.0, n_thermal=40.0))
+        assert solved == [120]
 
     def test_antidamped_bath_climbs_the_whole_ladder(self, monkeypatch):
         # A - B = -7: no Gaussian steady state, so every rung is tried
@@ -213,24 +214,22 @@ class TestTruncationPrediction:
             gaussian_covariance(d)
         solved = record_solves(monkeypatch)
         with pytest.raises(TruncationError):
-            converged_steady_state(d, n_max=30)
-        assert solved == [8, 12, 18, 27, 30]
+            converged_steady_state(d)
+        assert solved == [8, 12, 18, 27, 41, 62, 93, 120]
 
-    @pytest.mark.parametrize("n_max", [2, 5, 7])
-    def test_budget_below_eight_is_the_only_rung(self, monkeypatch, n_max):
-        solved = record_solves(monkeypatch)
+    @pytest.mark.parametrize("n_trunc", [2, 5, 7])
+    def test_budget_below_eight_is_the_only_rung(self, n_trunc):
+        # a truncation below the ladder's first rung is solved, or fails its
+        # tail check, through ``steady_state`` alone
         vacuum = EffectiveDissipators(gamma_m=1.0, n_thermal=0.0)
-        assert converged_steady_state(vacuum, n_max=n_max).n_trunc == n_max
+        assert steady_state(coherence_blocks(vacuum, n_trunc)).n_trunc == n_trunc
         with pytest.raises(TruncationError):
-            converged_steady_state(EffectiveDissipators(gamma_m=1.0, n_thermal=3.0), n_max=n_max)
-        assert solved == [n_max, n_max]
+            steady_state(coherence_blocks(EffectiveDissipators(gamma_m=1.0, n_thermal=3.0), n_trunc))
 
-    @pytest.mark.parametrize("n_max", [1, 0, -4])
-    def test_budget_below_two_rejected(self, monkeypatch, n_max):
-        solved = record_solves(monkeypatch)
+    @pytest.mark.parametrize("n_trunc", [1, 0, -4])
+    def test_budget_below_two_rejected(self, n_trunc):
         with pytest.raises(DomainError, match="at least 2"):
-            converged_steady_state(EffectiveDissipators(gamma_m=1.0, n_thermal=0.0), n_max=n_max)
-        assert solved == []
+            coherence_blocks(EffectiveDissipators(gamma_m=1.0, n_thermal=0.0), n_trunc)
 
     @pytest.mark.parametrize(
         "gamma_m, n_thermal, engineered",
@@ -741,7 +740,7 @@ def test_oracle_matches_the_gaussian_covariance_at_its_truncation(d, phi):
     cov = gaussian_covariance(d)
     # within a budget of N = 62 by the Gaussian tail, to keep the solves small
     assume(gaussian_populations(cov, 62)[-1] < TAIL_THRESHOLD)
-    state = converged_steady_state(d, n_max=62)
+    state = converged_steady_state(d)
     # the truncation error is absolute in the Fock basis, so it is measured
     # against the largest variance: a squeezed quadrature near 0.2 misses by
     # up to 2e-3 of itself at N = 41, and by 4e-4 of the anti-squeezed one
@@ -807,7 +806,7 @@ class TestAgainstClosedForm:
                 n_thermal=n_th,
                 engineered=((math.sqrt(g_minus), math.sqrt(g_plus)),),
             )
-            state = converged_steady_state(d, n_max=60)
+            state = converged_steady_state(d)
             assert quad_variance(state, 0.0) == pytest.approx(v1_ref, rel=0.005)
             assert quad_variance(state, math.pi / 2.0) == pytest.approx(v2_ref, rel=0.005)
 

@@ -141,9 +141,9 @@ def test_resolvent_solve_matches_per_frequency_solve_on_device_drifts(
 ):
     # every drift the model builds has the structure the solver needs
     ds = device_drive_set(cfg.mech, *drives)
-    c = build_linear_model(cfg, ds).complex_drift
-    w = 10.0**log_span * spectrum_grid(cfg, ds, points=41)
-    assert_matches_per_frequency_solve(c, w, index, adjoint)
+    m = build_linear_model(cfg, ds)
+    w = 10.0**log_span * spectrum_grid(m, points=41)
+    assert_matches_per_frequency_solve(m.complex_drift, w, index, adjoint)
 
 
 # any 64-bit pattern: +-0, subnormals, nan payloads and +-inf occur as well
