@@ -35,6 +35,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -74,6 +75,11 @@ class LinearModel:
     ``frame_shifts`` records the rotating-frame offsets (s_cav1, s_cav2,
     s_mech) relative to the cavity resonances and the mechanical sideband,
     needed to map internal frequencies onto laboratory offsets.
+
+    A model is immutable: the dataclass is frozen, its arrays are read-only
+    and ``max_real_eigenvalue`` is computed once, on first use. That is what
+    lets :func:`build_linear_model` hand the same model to every caller that
+    passes the same ``cfg`` and ``ds`` objects.
     """
 
     drift: NDArray[np.float64]
@@ -91,7 +97,7 @@ class LinearModel:
     def eigenvalues(self) -> NDArray[np.complex128]:
         return np.linalg.eigvals(self.drift)
 
-    @property
+    @cached_property
     def max_real_eigenvalue(self) -> float:
         return float(np.max(self.eigenvalues().real))
 
@@ -214,6 +220,9 @@ def _solve_frame_shifts(ds: DriveSet) -> tuple[float, float, float]:
 _QUADRATURES = np.kron(np.eye(3), np.array([[1.0, 1.0], [-1.0j, 1.0j]]))
 _QUADRATURES_INV = np.kron(np.eye(3), np.array([[0.5, 0.5j], [0.5, -0.5j]]))
 
+# the model of the last successful build_linear_model call
+_last_model: LinearModel | None = None
+
 
 def build_linear_model(cfg: SystemConfig, ds: DriveSet) -> LinearModel:
     """Assemble the drift and diffusion matrices for a drive configuration.
@@ -226,12 +235,26 @@ def build_linear_model(cfg: SystemConfig, ds: DriveSet) -> LinearModel:
     cavity's thermal occupancy. Unstable models are allowed here; the
     steady-state solver rejects them.
 
+    The last model built is kept, and a call with the very same ``cfg`` and
+    ``ds`` objects returns it instead of building it again, as when a drive
+    set's covariance, probe response and transparency window each ask for
+    it. The key is object identity, not equality: two drive sets that
+    compare equal can differ in a signed zero (a phase of 0.0 and one of
+    -0.0), which ``DriveSet.digest`` prints into a spectrum's metadata, so
+    each distinct object gets a model of its own. Sharing a model is safe
+    because it is immutable (see :class:`LinearModel`). A call that raises
+    keeps nothing, so it raises again when repeated.
+
     Raises
     ------
     DomainError
         If a cavity is outside the resolved-sideband regime or the drive
         detunings admit no time-independent rotating frame.
     """
+    global _last_model
+    last = _last_model  # read once: another thread may replace it
+    if last is not None and last.cfg is cfg and last.ds is ds:
+        return last
     for i in (1, 2):
         if cfg.mech.omega / cfg.cavity(i).kappa <= RESOLVED_SIDEBAND_RATIO:
             raise DomainError(
@@ -278,7 +301,7 @@ def build_linear_model(cfg: SystemConfig, ds: DriveSet) -> LinearModel:
         level[ch.mode] += ch.rate * ch.variance
     diffusion.flat[::7] = [level[0], level[0], level[1], level[1], level[2], level[2]]
 
-    return LinearModel(
+    model = LinearModel(
         drift=(_QUADRATURES @ c @ _QUADRATURES_INV).real.copy(),
         diffusion=diffusion,
         channels=tuple(channels),
@@ -287,6 +310,8 @@ def build_linear_model(cfg: SystemConfig, ds: DriveSet) -> LinearModel:
         cfg=cfg,
         ds=ds,
     )
+    _last_model = model
+    return model
 
 
 def steady_covariance(m: LinearModel) -> CovarianceMatrix:

@@ -156,12 +156,16 @@ class _Run:
 def _cooling_drive(ds: DriveSet, scenario: str, upper_error: str | None = None) -> Drive:
     """The cavity-2 cooling drive of a sweep that builds the cavity-1 drives.
 
-    With ``upper_error`` given, an upper-sideband drive on cavity 2 is
-    rejected with that message as well.
+    Its rate must be positive: the measured rates are multiples of it, and
+    each fitted area is divided by one of them. With ``upper_error`` given,
+    an upper-sideband drive on cavity 2 is rejected with that message as
+    well.
     """
     cooling = ds.get(2, LOWER)
     if cooling is None:
         raise ConfigError(f"scenario {scenario} requires a lower-sideband drive on cavity 2")
+    if not cooling.rate > 0:
+        raise ConfigError(f"scenario {scenario} requires a positive cooling rate, got {cooling.rate:g}")
     if upper_error is not None and ds.get(2, UPPER) is not None:
         raise ConfigError(upper_error)
     if any(d.cavity_index == 1 for d in ds.drives):

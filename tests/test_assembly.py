@@ -503,6 +503,14 @@ class TestLadderCases:
     def test_model_matches_elementwise_build(self, cfg, case):
         assert_model_matches_elementwise_build(cfg, ladder_drives(cfg.mech)[case])
 
+    @pytest.mark.parametrize("case", range(len(LADDER_CASES)))
+    def test_kept_model_matches_elementwise_build(self, cfg, case):
+        # a second call with the same objects returns the kept model
+        ds = ladder_drives(cfg.mech)[case]
+        built = build_linear_model(cfg, ds)
+        assert build_linear_model(cfg, ds) is built
+        assert_model_matches_elementwise_build(cfg, ds)
+
     @pytest.mark.parametrize("g_minus, plus_ratio, meas_ratio, angle, n_trunc", LADDER_CASES)
     def test_solve_matches_per_level_elimination(
         self, monkeypatch, mech, g_minus, plus_ratio, meas_ratio, angle, n_trunc

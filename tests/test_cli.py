@@ -341,34 +341,58 @@ class TestExitCodes:
         assert manifest["failure"].startswith("FitError")
 
 
-# Values that each replace one field of a bundled configuration's params or
-# noise section, or the first or last entry of a list there
+# Values that each replace one numeric field of a bundled configuration
 PERTURBATIONS = (0, -1, 1e-12, 1e12, math.nan, math.inf)
 
 
 def perturbable_fields(document):
-    """(section, key, list index or None) of every params and noise field."""
+    """The path of every field a perturbation may replace, as a tuple of keys.
+
+    Every field of the scenario's params and noise sections, the first and
+    last entry of a list there, and every numeric field of the mechanics,
+    of each cavity and of each drive except its cavity index.
+    """
     fields = []
     for section in ("params", "noise"):
         for key, value in document["scenario"][section].items():
-            indices = (0, len(value) - 1) if isinstance(value, list) else (None,)
-            fields += [(section, key, i) for i in indices]
+            tails = ((0,), (len(value) - 1,)) if isinstance(value, list) else ((),)
+            fields += [("scenario", section, key) + tail for tail in tails]
+    entries = [(("system", "mechanics"), document["system"]["mechanics"])]
+    entries += [(("system", "cavities", i), cav) for i, cav in enumerate(document["system"]["cavities"])]
+    entries += [(("drives", i), drive) for i, drive in enumerate(document["drives"])]
+    for path, entry in entries:
+        fields += [
+            path + (key,)
+            for key, value in entry.items()
+            if key != "cavity" and isinstance(value, (int, float)) and not isinstance(value, bool)
+        ]
     return fields
+
+
+def perturbed(document, path, value):
+    """``document`` with the field at ``path`` replaced by ``value``, in place."""
+    *parents, last = path
+    target = document
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return document
+
+
+def small_bundled_document(name):
+    """A bundled configuration on at most 101 grid points."""
+    document = bundled_document(name)
+    params = document["scenario"]["params"]
+    params["points"] = min(params.get("points", 2001), 101)
+    return document
 
 
 @st.composite
 def perturbed_documents(draw):
     """A bundled configuration on at most 101 grid points, with one field perturbed."""
-    document = bundled_document(draw(st.sampled_from(BUNDLED)))
-    params = document["scenario"]["params"]
-    params["points"] = min(params.get("points", 2001), 101)
-    section, key, index = draw(st.sampled_from(perturbable_fields(document)))
-    value = draw(st.sampled_from(PERTURBATIONS))
-    if index is None:
-        document["scenario"][section][key] = value
-    else:
-        document["scenario"][section][key][index] = value
-    return document
+    document = small_bundled_document(draw(st.sampled_from(BUNDLED)))
+    path = draw(st.sampled_from(perturbable_fields(document)))
+    return perturbed(document, path, draw(st.sampled_from(PERTURBATIONS)))
 
 
 @settings(max_examples=120, deadline=None)
@@ -497,6 +521,23 @@ class TestScenarioRequirements:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(document))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize(
+        "name", ["backaction_sweep.json", "squeeze_sweep.json", "tomography.json", "tomography_cooling.json"]
+    )
+    def test_zero_cooling_rate_exits_two(self, tmp_path, capsys, name):
+        # every measured rate is a multiple of the cooling rate; a zero-rate
+        # tone elsewhere is an absent one and stays valid
+        document = perturbed(small_bundled_document(name), ("drives", 0, "rate_hz"), 0)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(document))
+        argv = ["run", "--config", str(path), "--out", str(tmp_path / "out"), "--seed", "3"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: scenario ")
+        assert "requires a positive cooling rate, got 0" in err
+        assert "Traceback" not in err
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["manifest.json"]
 
     def test_tomography_rejects_measurement_drives_in_config(self, tmp_path):
         document = minimal_document()

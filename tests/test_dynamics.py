@@ -3,6 +3,7 @@ import gc
 import math
 import platform
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from twotone.dynamics import (
     transparency_window_fwhm,
     write_spectrum_csv,
 )
+from twotone import dynamics
 from twotone.config import bundled_config_path, load_config
 from twotone.dynamics import Spectrum, _resolvent_solve, _solve_frame_shifts
 from twotone.errors import DomainError, InstabilityError, NumericalError
@@ -144,6 +146,101 @@ class TestBuildLinearModel:
         with pytest.raises(DomainError):
             build_linear_model(cfg, DriveSet())
 
+
+
+def crossval_drives(mech, angle=0.3):
+    """A squeezing pair on cavity 2 and a balanced measurement pair on cavity 1."""
+    rate = 800.0 * mech.gamma
+    return DriveSet(drive_pair(2, rate, 0.1 * rate) + drive_pair(1, 0.5 * rate, 0.5 * rate, angle=angle))
+
+
+class TestModelMemo:
+    """``build_linear_model`` keeps its last model, keyed on the identity of its arguments."""
+
+    def test_same_objects_share_one_model(self, cfg, mech):
+        ds = crossval_drives(mech)
+        assert build_linear_model(cfg, ds) is build_linear_model(cfg, ds)
+
+    def test_other_objects_get_a_model_of_their_own(self, cfg, mech):
+        ds = crossval_drives(mech, angle=0.0)
+        # equal drive sets, but the signed zero of a phase reaches the digest
+        twin = crossval_drives(mech, angle=-0.0)
+        assert twin == ds and twin.digest() != ds.digest()
+        m = build_linear_model(cfg, ds)
+        other = build_linear_model(cfg, twin)
+        assert other is not m and other.ds is twin
+        grid = spectrum_grid(other, points=11)
+        assert output_spectrum(other, 1, grid).meta["drives"] == twin.digest()
+        copy = dataclasses.replace(cfg)
+        assert copy == cfg
+        again = build_linear_model(copy, twin)
+        assert again is not other and again.cfg is copy
+
+    def test_only_the_last_model_is_kept(self, cfg, mech):
+        first, second = crossval_drives(mech, 0.1), crossval_drives(mech, 0.2)
+        m1 = build_linear_model(cfg, first)
+        build_linear_model(cfg, second)
+        rebuilt = build_linear_model(cfg, first)
+        assert rebuilt is not m1
+        assert build_linear_model(cfg, first) is rebuilt
+
+    def test_a_failed_build_fails_again(self, mech):
+        cfg = SystemConfig(
+            mech=mech,
+            cavities=(
+                Cavity(omega=1e10, kappa=mech.omega / 2.0, g0=100.0),
+                Cavity(omega=1e10, kappa=mech.omega / 20.0, g0=100.0),
+            ),
+        )
+        ds = DriveSet()
+        for _ in range(2):
+            with pytest.raises(DomainError, match="resolved-sideband"):
+                build_linear_model(cfg, ds)
+
+    def test_threads_get_models_of_their_own_drive_sets(self, cfg, mech):
+        # the threads replace the kept model under each other
+        sets = [crossval_drives(mech, 0.1 * k) for k in range(4)]
+        wrong = []
+
+        def build_repeatedly(ds):
+            for _ in range(200):
+                m = build_linear_model(cfg, ds)
+                if m.ds is not ds or m.cfg is not cfg:
+                    wrong.append(m)
+
+        threads = [threading.Thread(target=build_repeatedly, args=(ds,)) for ds in sets]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong
+
+    def test_one_build_and_one_eigendecomposition_per_drive_set(self, monkeypatch, cfg, mech):
+        # the cross-validation of a drive set: covariance, probe response, window fit
+        calls = {"builds": 0, "eigvals": 0}
+        solve_frame_shifts, eigvals = dynamics._solve_frame_shifts, np.linalg.eigvals
+
+        def counted(name, function):
+            def spy(*args):
+                calls[name] += 1
+                return function(*args)
+
+            return spy
+
+        monkeypatch.setattr(dynamics, "_solve_frame_shifts", counted("builds", solve_frame_shifts))
+        monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", eigvals))
+        for k, angle in enumerate((0.0, 0.4, 1.1), start=1):
+            ds = crossval_drives(mech, angle)
+            steady_covariance(build_linear_model(cfg, ds))
+            driven_response(cfg, ds, 1, np.linspace(-1e5, 1e5, 101))
+            transparency_window_fwhm(cfg, ds, 2)
+            assert calls == {"builds": k, "eigvals": k}
 
 class TestSteadyCovariance:
     def test_undriven_thermal_state(self, cfg):
