@@ -36,7 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="configuration file (JSON)")
     run.add_argument("--out", help="output directory (defaults to scenario.output_dir)")
     run.add_argument("--seed", type=int, help="override the configured RNG seed")
-    run.add_argument("--scenario", help="override the configured scenario name")
 
     val = sub.add_parser("validate", help="check a configuration and report physics")
     val.add_argument("--config", required=True, help="configuration file (JSON)")
@@ -60,11 +59,6 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK if report.passed else EXIT_UNSTABLE
         if args.command == "run":
             cfg, ds, scenario = load_config(args.config)
-            if args.scenario is not None and args.scenario != scenario.name:
-                raise ConfigError(
-                    f"--scenario {args.scenario} does not match the configured "
-                    f"scenario {scenario.name}; edit the configuration instead"
-                )
             out_dir = args.out or scenario.outputs
             if out_dir is None:
                 raise ConfigError("no output directory: pass --out or set scenario.output_dir")

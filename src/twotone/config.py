@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .errors import ConfigError, DomainError
 from .inference import backaction_line_fit
-from .sysmodel import TWO_PI, Cavity, Drive, DriveSet, MechanicalMode, SystemConfig
+from .sysmodel import LOWER, TWO_PI, UPPER, Cavity, Drive, DriveSet, MechanicalMode, SystemConfig
 from .synthesis import NoiseModel
 
 # Smallest spread (max - min) of the backaction ratios, as a share of the
@@ -38,7 +38,6 @@ class Scenario:
     params: dict
     noise: NoiseModel
     outputs: str | None = None
-    note: str | None = None
 
 
 def _require(mapping: dict, key: str, path: str):
@@ -67,12 +66,6 @@ def _check_keys(mapping: dict, allowed: set[str], path: str) -> None:
         raise ConfigError(f"unknown field {path}.{sorted(unknown)[0]}")
 
 
-def _number_list(value, path: str) -> list[float]:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path} must be a non-empty list of numbers")
-    return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
-
-
 def _rate_ratio(value, path: str) -> float:
     ratio = _number(value, path)
     if not math.isfinite(ratio):
@@ -83,7 +76,9 @@ def _rate_ratio(value, path: str) -> float:
 
 
 def _rate_ratios(value, path: str) -> list[float]:
-    return [_rate_ratio(v, f"{path}[{i}]") for i, v in enumerate(_number_list(value, path))]
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{path} must be a non-empty list of numbers")
+    return [_rate_ratio(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
 def _measurement_ratio(raw: dict, path: str) -> float:
@@ -153,8 +148,31 @@ def _parse_noise(section: dict, path: str) -> NoiseModel:
     )
 
 
-def parse_backaction_params(raw: dict, path: str) -> dict:
-    """``scenario.params`` of ``backaction_sweep``."""
+def _cooling_drive(ds: DriveSet, scenario: str, upper_error: str | None = None) -> Drive:
+    """The cavity-2 cooling drive of a sweep that builds the cavity-1 drives.
+
+    Its rate must be positive: the measured rates are multiples of it, and
+    each fitted area is divided by one of them. With ``upper_error`` given,
+    an upper-sideband drive on cavity 2 is rejected with that message as
+    well.
+    """
+    cooling = ds.get(2, LOWER)
+    if cooling is None:
+        raise ConfigError(f"scenario {scenario} requires a lower-sideband drive on cavity 2")
+    if not cooling.rate > 0:
+        raise ConfigError(f"scenario {scenario} requires a positive cooling rate, got {cooling.rate:g}")
+    if upper_error is not None and ds.get(2, UPPER) is not None:
+        raise ConfigError(upper_error)
+    if any(d.cavity_index == 1 for d in ds.drives):
+        raise ConfigError(
+            f"scenario {scenario} constructs the cavity-1 drives itself; "
+            "remove them from the drives list"
+        )
+    return cooling
+
+
+def parse_backaction_params(raw: dict, path: str, ds: DriveSet) -> dict:
+    """``scenario.params`` of ``backaction_sweep``, with its cooling drive."""
     _check_keys(raw, {"ratios", "pair_detuning_hz", "points"}, path)
     ratios = _rate_ratios(_require(raw, "ratios", path), f"{path}.ratios")
     if 0.0 in ratios:  # each sets the measurement pair's rates, which fitted areas are divided by
@@ -171,33 +189,44 @@ def parse_backaction_params(raw: dict, path: str) -> dict:
     detuning = _number(_require(raw, "pair_detuning_hz", path), f"{path}.pair_detuning_hz")
     if not 0.0 < detuning < math.inf:
         raise ConfigError(f"{path}.pair_detuning_hz must be positive and finite, got {detuning}")
-    return {"ratios": ratios, "pair_detuning": TWO_PI * detuning, "points": _grid_points(raw, path)}
+    points = _grid_points(raw, path)
+    cooling = _cooling_drive(ds, "backaction_sweep", "backaction_sweep runs against a pure cooling drive")
+    return {"ratios": ratios, "pair_detuning": TWO_PI * detuning, "points": points, "cooling": cooling}
 
 
-def parse_squeeze_params(raw: dict, path: str) -> dict:
-    """``scenario.params`` of ``squeeze_sweep``."""
+def parse_squeeze_params(raw: dict, path: str, ds: DriveSet) -> dict:
+    """``scenario.params`` of ``squeeze_sweep``, with its cooling drive."""
     _check_keys(raw, {"ratios", "measurement_ratio", "points"}, path)
-    return {
-        "ratios": _rate_ratios(_require(raw, "ratios", path), f"{path}.ratios"),
-        "measurement_ratio": _measurement_ratio(raw, path),
-        "points": _grid_points(raw, path),
-    }
+    ratios = _rate_ratios(_require(raw, "ratios", path), f"{path}.ratios")
+    ratio, points = _measurement_ratio(raw, path), _grid_points(raw, path)
+    upper = "squeeze_sweep constructs the upper control tone per point; remove it from the drives list"
+    cooling = _cooling_drive(ds, "squeeze_sweep", upper)
+    if cooling.detuning != 0.0 or cooling.phase != 0.0:
+        raise ConfigError(
+            "scenario squeeze_sweep requires a resonant cooling tone at phase 0, since it builds "
+            f"each control pair from its rate alone; got {cooling.detuning / TWO_PI:g} Hz, {cooling.phase:g} rad"
+        )
+    return {"ratios": ratios, "measurement_ratio": ratio, "points": points, "cooling": cooling}
 
 
-def parse_tomography_params(raw: dict, path: str) -> dict:
-    """``scenario.params`` of ``tomography``."""
+def parse_tomography_params(raw: dict, path: str, ds: DriveSet) -> dict:
+    """``scenario.params`` of ``tomography``, with its cooling drive."""
     _check_keys(raw, {"n_phases", "measurement_ratio", "points"}, path)
     n_phases = _integer(_require(raw, "n_phases", path), f"{path}.n_phases")
     if n_phases < 5:
         raise ConfigError(f"{path}.n_phases must be at least 5")
-    return {
-        "n_phases": n_phases,
-        "measurement_ratio": _measurement_ratio(raw, path),
-        "points": _grid_points(raw, path),
-    }
+    ratio, points = _measurement_ratio(raw, path), _grid_points(raw, path)
+    cooling = _cooling_drive(ds, "tomography")
+    for d in ds.drives:
+        if d.detuning != 0.0:
+            raise ConfigError(
+                "scenario tomography requires resonant drives for its closed-form theory column; "
+                f"the cavity {d.cavity_index} {d.sideband} tone is detuned by {d.detuning / TWO_PI:g} Hz"
+            )
+    return {"n_phases": n_phases, "measurement_ratio": ratio, "points": points, "cooling": cooling}
 
 
-def parse_probe_params(raw: dict, path: str) -> dict:
+def parse_probe_params(raw: dict, path: str, ds: DriveSet) -> dict:
     """``scenario.params`` of the one-cavity scenarios: ``driven_response``, ``single_spectrum``."""
     _check_keys(raw, {"cavity", "points", "span_hz"}, path)
     cavity = _integer(_require(raw, "cavity", path), f"{path}.cavity")
@@ -212,7 +241,7 @@ def parse_probe_params(raw: dict, path: str) -> dict:
     return params
 
 
-def _parse_scenario(section: dict) -> Scenario:
+def _parse_scenario(section: dict, ds: DriveSet) -> Scenario:
     # the table imports this module's parsers, so it is looked up here
     from .scenarios import SCENARIOS
 
@@ -223,14 +252,13 @@ def _parse_scenario(section: dict) -> Scenario:
         raise ConfigError(f"{path}.name must be one of {tuple(SCENARIOS)}, got {name!r}")
     noise = _parse_noise(_require(section, "noise", path), f"{path}.noise")
     parse_params, _ = SCENARIOS[name]
-    params = parse_params(_require(section, "params", path), f"{path}.params")
+    params = parse_params(_require(section, "params", path), f"{path}.params", ds)
     outputs = section.get("output_dir")
     if outputs is not None and not isinstance(outputs, str):
         raise ConfigError(f"{path}.output_dir must be a string path")
-    note = section.get("note")
-    if note is not None and not isinstance(note, str):
+    if not isinstance(section.get("note"), (str, type(None))):
         raise ConfigError(f"{path}.note must be a string")
-    return Scenario(name=name, params=params, noise=noise, outputs=outputs, note=note)
+    return Scenario(name=name, params=params, noise=noise, outputs=outputs)
 
 
 def load_config(path) -> tuple[SystemConfig, DriveSet, Scenario]:
@@ -240,7 +268,8 @@ def load_config(path) -> tuple[SystemConfig, DriveSet, Scenario]:
     ------
     ConfigError
         On JSON syntax errors (with line and column), missing or unknown
-        fields (with the field path), or physically invalid values.
+        fields (with the field path), physically invalid values, or
+        drives that the scenario cannot run with.
     """
     path = Path(path)
     if not path.exists():
@@ -272,7 +301,7 @@ def parse_config(document: dict) -> tuple[SystemConfig, DriveSet, Scenario]:
         ds = DriveSet(tuple(_parse_drive(d, i) for i, d in enumerate(drives_raw)))
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
-    scenario = _parse_scenario(_require(document, "scenario", "config"))
+    scenario = _parse_scenario(_require(document, "scenario", "config"), ds)
     return cfg, ds, scenario
 
 

@@ -11,7 +11,10 @@ manifest records timings and is therefore excluded from that guarantee.
 A runner is called as ``runner(run, ds, params)`` and writes only through
 its run context ``run`` (``_Run``), which lists each artifact in the
 manifest once it is written and gives each sweep point its
-``failure_point`` and its entry in ``timings_s``.
+``failure_point`` and its entry in ``timings_s``. A scenario's params
+parser checks what it requires of the configured drives and hands a sweep
+its cooling drive as ``params["cooling"]``, so every ``ConfigError`` comes
+from ``load_config``, before ``out_dir`` exists.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from .dynamics import (
     transparency_window_fwhm,
     write_spectrum_csv,
 )
-from .errors import ConfigError
 from .inference import (
     FIT_RECORD_UNITS,
     backaction_evasion_report,
@@ -55,7 +57,7 @@ from .inference import (
     write_fit_records,
 )
 from .synthesis import NoiseModel, synthesize, write_noisy_csv
-from .sysmodel import LOWER, TWO_PI, UPPER, Drive, DriveSet, SystemConfig, drive_pair
+from .sysmodel import TWO_PI, DriveSet, SystemConfig, drive_pair
 from .tables import write_csv
 
 
@@ -153,29 +155,6 @@ class _Run:
         return fit
 
 
-def _cooling_drive(ds: DriveSet, scenario: str, upper_error: str | None = None) -> Drive:
-    """The cavity-2 cooling drive of a sweep that builds the cavity-1 drives.
-
-    Its rate must be positive: the measured rates are multiples of it, and
-    each fitted area is divided by one of them. With ``upper_error`` given,
-    an upper-sideband drive on cavity 2 is rejected with that message as
-    well.
-    """
-    cooling = ds.get(2, LOWER)
-    if cooling is None:
-        raise ConfigError(f"scenario {scenario} requires a lower-sideband drive on cavity 2")
-    if not cooling.rate > 0:
-        raise ConfigError(f"scenario {scenario} requires a positive cooling rate, got {cooling.rate:g}")
-    if upper_error is not None and ds.get(2, UPPER) is not None:
-        raise ConfigError(upper_error)
-    if any(d.cavity_index == 1 for d in ds.drives):
-        raise ConfigError(
-            f"scenario {scenario} constructs the cavity-1 drives itself; "
-            "remove them from the drives list"
-        )
-    return cooling
-
-
 def _fit_sidebands(noisy, delta: float, window: float, width: float):
     """Anti-Stokes and Stokes fits of the sidebands at -delta and +delta."""
     return tuple(
@@ -195,11 +174,12 @@ def run_scenario(
 ) -> RunManifest:
     """Execute a scenario and write its artifacts under ``out_dir``.
 
-    A ``seed`` override replaces the configured seed, and is checked,
-    before ``out_dir`` is made. A failure at any sweep point still writes
-    the manifest, with the failed point identified in ``failure_point``,
-    before the error propagates; artifacts of the completed points are
-    preserved.
+    ``ds`` and ``scenario`` come from one ``load_config`` call, which has
+    checked every scenario requirement. A ``seed`` override replaces the
+    configured seed, and is checked, before ``out_dir`` is made. A failure
+    at any sweep point still writes the manifest, with the failed point
+    identified in ``failure_point``, before the error propagates; artifacts
+    of the completed points are preserved.
     """
     noise = scenario.noise if seed is None else replace(scenario.noise, seed=seed)
     out_dir = Path(out_dir)
@@ -235,7 +215,7 @@ def _run_backaction_sweep(run: _Run, ds: DriveSet, params: dict) -> None:
     the on-sideband pair measures the single quadrature X1, and the cooling
     cavity's sideband provides the total occupancy in the latter case.
     """
-    cooling = _cooling_drive(ds, run.manifest.scenario, "backaction_sweep runs against a pure cooling drive")
+    cooling = params["cooling"]
     delta = params["pair_detuning"]
     points = params["points"]
     rows = []
@@ -320,12 +300,7 @@ def _run_squeeze_sweep(run: _Run, ds: DriveSet, params: dict) -> None:
     acquisitions. Theory columns come from the closed-form moments of the
     same drive sets.
     """
-    cooling = _cooling_drive(
-        ds,
-        run.manifest.scenario,
-        "squeeze_sweep constructs the upper control tone per point; "
-        "remove it from the drives list",
-    )
+    cooling = params["cooling"]
     gamma_meas = params["measurement_ratio"] * cooling.rate
     rows = []
     for k, tag, ratio in run.points(params["ratios"], "squeeze_ratio"):
@@ -360,7 +335,7 @@ def _run_tomography(run: _Run, ds: DriveSet, params: dict) -> None:
     isotropic state, an asymmetric pair a squeezed one); the balanced pair's
     angle is swept over [0, pi].
     """
-    cooling = _cooling_drive(ds, run.manifest.scenario)
+    cooling = params["cooling"]
     gamma_meas = params["measurement_ratio"] * cooling.rate
     rows = []
     for k, tag, phi in run.points(np.linspace(0.0, math.pi, params["n_phases"]), "phi"):

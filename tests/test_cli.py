@@ -170,14 +170,6 @@ class TestCli:
         assert "Instability" in manifest["failure"]
         assert "point_00" in manifest["failure_point"]
 
-    def test_scenario_override_mismatch(self, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(minimal_document()))
-        code = main(
-            ["run", "--config", str(path), "--out", str(tmp_path / "o"), "--scenario", "tomography"]
-        )
-        assert code == 2
-
     def test_seed_override_changes_samples(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(minimal_document()))
@@ -395,19 +387,44 @@ def perturbed_documents(draw):
     return perturbed(document, path, draw(st.sampled_from(PERTURBATIONS)))
 
 
-@settings(max_examples=120, deadline=None)
-@given(document=perturbed_documents())
-def test_schema_valid_input_never_exits_one(document):
-    # a configuration runs, or exits with a documented code: 2 config, 3
-    # instability, 4 numerics; an uncaught exception fails the test itself
+def both_commands(document):
+    """``validate`` and ``run`` on one document: their exit codes and the rules they break.
+
+    Returns ``(validate's exit, run's exit, whether run made its output
+    directory)`` and the broken rules: each command exits 0, 2 (config), 3
+    (instability) or 4 (numerics) without a traceback; ``validate`` exits 2
+    exactly when ``run`` does, and such a run makes no output directory; an
+    output directory holds exactly ``manifest.json`` and the manifest's
+    artifacts. An uncaught exception propagates.
+    """
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "config.json"
+        path, out = Path(tmp) / "config.json", Path(tmp) / "out"
         path.write_text(json.dumps(document))
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["run", "--config", str(path), "--out", str(Path(tmp) / "out")])
-    assert code in (0, 2, 3, 4)
-    assert "Traceback" not in err.getvalue()
+            checked = main(["validate", "--config", str(path)])
+            ran = main(["run", "--config", str(path), "--out", str(out)])
+        broken = [f"exit {code}" for code in (checked, ran) if code not in (0, 2, 3, 4)]
+        if "Traceback" in err.getvalue():
+            broken.append("traceback")
+        if (checked == 2) != (ran == 2):
+            broken.append(f"validate exits {checked}, run exits {ran}")
+        if ran == 2 and out.exists():
+            broken.append("exit 2 after making the output directory")
+        if out.exists():
+            manifest = out / "manifest.json"
+            listed = json.loads(manifest.read_text())["artifacts"] if manifest.exists() else []
+            if sorted(listed + ["manifest.json"]) != sorted(p.name for p in out.iterdir()):
+                broken.append("the manifest does not list exactly the files on disk")
+        return (checked, ran, out.exists()), broken
+
+
+@settings(max_examples=120, deadline=None)
+@given(document=perturbed_documents())
+def test_schema_valid_input_never_exits_one(document):
+    # an uncaught exception fails the test itself
+    _, broken = both_commands(document)
+    assert broken == []
 
 
 class TestScenarioSchema:
@@ -510,17 +527,30 @@ class TestScenarioArtifacts:
 
 
 class TestScenarioRequirements:
-    def test_backaction_needs_cooling_drive(self, tmp_path):
+    """What a scenario requires of the configured drives, checked when the configuration loads."""
+
+    @staticmethod
+    def rejected(tmp_path, capsys, document):
+        """Standard error of ``validate`` and ``run``, which both exit 2 and make no output directory."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(document))
+        assert main(["validate", "--config", str(path)]) == 2
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--seed", "3"]) == 2
+        assert not (tmp_path / "out").exists()
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return err
+
+    def test_backaction_needs_cooling_drive(self, tmp_path, capsys):
         document = minimal_document()
         document["drives"] = []
         document["scenario"] = {
             "name": "backaction_sweep",
             "noise": {"floor": 20.0, "averages": 100, "seed": 3},
-            "params": {"ratios": [0.5], "pair_detuning_hz": 5e4, "points": 301},
+            "params": {"ratios": [0.5, 1.0], "pair_detuning_hz": 5e4, "points": 301},
         }
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(document))
-        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = self.rejected(tmp_path, capsys, document)
+        assert "scenario backaction_sweep requires a lower-sideband drive on cavity 2" in err
 
     @pytest.mark.parametrize(
         "name", ["backaction_sweep.json", "squeeze_sweep.json", "tomography.json", "tomography_cooling.json"]
@@ -529,17 +559,11 @@ class TestScenarioRequirements:
         # every measured rate is a multiple of the cooling rate; a zero-rate
         # tone elsewhere is an absent one and stays valid
         document = perturbed(small_bundled_document(name), ("drives", 0, "rate_hz"), 0)
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(document))
-        argv = ["run", "--config", str(path), "--out", str(tmp_path / "out"), "--seed", "3"]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
+        err = self.rejected(tmp_path, capsys, document)
         assert err.startswith("configuration error: scenario ")
         assert "requires a positive cooling rate, got 0" in err
-        assert "Traceback" not in err
-        assert [p.name for p in (tmp_path / "out").iterdir()] == ["manifest.json"]
 
-    def test_tomography_rejects_measurement_drives_in_config(self, tmp_path):
+    def test_tomography_rejects_measurement_drives_in_config(self, tmp_path, capsys):
         document = minimal_document()
         document["drives"].append(
             {"cavity": 1, "sideband": "lower", "rate_hz": 100.0, "detuning_hz": 0.0, "phase_rad": 0.0}
@@ -549,9 +573,35 @@ class TestScenarioRequirements:
             "noise": {"floor": 20.0, "averages": 100, "seed": 3},
             "params": {"n_phases": 5, "measurement_ratio": 0.3, "points": 301},
         }
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(document))
-        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = self.rejected(tmp_path, capsys, document)
+        assert "scenario tomography constructs the cavity-1 drives itself" in err
+
+    @pytest.mark.parametrize(
+        "name, index, detuning_hz",
+        [
+            ("tomography.json", 0, 1e12),
+            ("tomography.json", 1, -1.0),
+            ("tomography.json", 1, 1e-12),
+            ("tomography_cooling.json", 0, 5e3),
+        ],
+    )
+    def test_tomography_needs_resonant_drives(self, tmp_path, capsys, name, index, detuning_hz):
+        # its theory column is the closed-form moments, which refuse a detuned tone
+        document = perturbed(small_bundled_document(name), ("drives", index, "detuning_hz"), detuning_hz)
+        sideband = document["drives"][index]["sideband"]
+        err = self.rejected(tmp_path, capsys, document)
+        assert "scenario tomography requires resonant drives" in err
+        assert f"the cavity 2 {sideband} tone is detuned by {detuning_hz:g} Hz" in err
+
+    @pytest.mark.parametrize(
+        "field, value", [("detuning_hz", 1e12), ("detuning_hz", 1e-12), ("phase_rad", 1.0), ("phase_rad", -1e-12)]
+    )
+    def test_squeeze_needs_a_resonant_cooling_tone_at_phase_zero(self, tmp_path, capsys, field, value):
+        # each control pair is built from the cooling rate alone, so the
+        # cooling tone's detuning and phase would be dropped without a word
+        document = perturbed(small_bundled_document("squeeze_sweep.json"), ("drives", 0, field), value)
+        err = self.rejected(tmp_path, capsys, document)
+        assert "scenario squeeze_sweep requires a resonant cooling tone at phase 0" in err
 
 
 def _load_tracer(monkeypatch):
