@@ -16,9 +16,24 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+from numpy.typing import NDArray
+
+from .dynamics import effective_linewidth
 from .errors import ConfigError, DomainError
 from .inference import backaction_line_fit
-from .sysmodel import LOWER, TWO_PI, UPPER, Cavity, Drive, DriveSet, MechanicalMode, SystemConfig
+from .sysmodel import (
+    LOWER,
+    RESOLVED_SIDEBAND_RATIO,
+    TWO_PI,
+    UPPER,
+    Cavity,
+    Drive,
+    DriveSet,
+    MechanicalMode,
+    SystemConfig,
+    drive_pair,
+)
 from .synthesis import NoiseModel
 
 # Smallest spread (max - min) of the backaction ratios, as a share of the
@@ -28,6 +43,9 @@ from .synthesis import NoiseModel
 # degeneracy rule at unit weights, which also rejects ratios clustered far
 # from 1: its normal matrix holds an intercept column of ones.
 MIN_RATIO_SPREAD = 1e-4
+# Floating parameters of each sideband fit of the detuned pair, whose
+# linewidth and center are pinned: a window must hold more samples than this.
+SIDEBAND_FIT_PARAMETERS = 3
 
 
 @dataclass(frozen=True)
@@ -171,8 +189,31 @@ def _cooling_drive(ds: DriveSet, scenario: str, upper_error: str | None = None) 
     return cooling
 
 
-def parse_backaction_params(raw: dict, path: str, ds: DriveSet) -> dict:
-    """``scenario.params`` of ``backaction_sweep``, with its cooling drive."""
+def sideband_window(width: float, delta: float) -> tuple[float, float]:
+    """Span of the detuned pair's spectrum and half-width of each sideband's fit window.
+
+    The spectrum reaches ten effective linewidths ``width`` beyond the
+    sidebands at -delta and +delta; each is fitted over the samples within
+    0.85 delta of it, or within those ten linewidths if that is less.
+    """
+    span = delta + 10.0 * width
+    return span, min(0.85 * delta, span - delta)
+
+
+def sideband_samples(
+    freq: NDArray[np.float64], delta: float, window: float
+) -> tuple[NDArray[np.bool_], ...]:
+    """The samples of ``freq`` in the anti-Stokes (-delta) and Stokes (+delta) fit windows."""
+    return tuple(np.abs(freq - c) < window for c in (-delta, delta))
+
+
+def parse_backaction_params(raw: dict, path: str, cfg: SystemConfig, ds: DriveSet) -> dict:
+    """``scenario.params`` of ``backaction_sweep``, with its cooling drive.
+
+    Each point's detuned pair is fitted sideband by sideband; a grid that
+    leaves too few samples in a window for that fit is refused here, from
+    the very window and grid the run will use.
+    """
     _check_keys(raw, {"ratios", "pair_detuning_hz", "points"}, path)
     ratios = _rate_ratios(_require(raw, "ratios", path), f"{path}.ratios")
     if 0.0 in ratios:  # each sets the measurement pair's rates, which fitted areas are divided by
@@ -191,10 +232,28 @@ def parse_backaction_params(raw: dict, path: str, ds: DriveSet) -> dict:
         raise ConfigError(f"{path}.pair_detuning_hz must be positive and finite, got {detuning}")
     points = _grid_points(raw, path)
     cooling = _cooling_drive(ds, "backaction_sweep", "backaction_sweep runs against a pure cooling drive")
-    return {"ratios": ratios, "pair_detuning": TWO_PI * detuning, "points": points, "cooling": cooling}
+    delta = TWO_PI * detuning
+    widths = set()  # one in practice: the balanced pair leaves the linewidth as it is
+    for ratio in ratios:
+        rate = ratio * cooling.rate
+        try:
+            pair = DriveSet((cooling,) + drive_pair(1, rate, rate, detuning=delta))
+        except DomainError as exc:
+            raise ConfigError(f"{path}.ratios: {ratio:g} times the cooling rate: {exc}") from None
+        widths.add(effective_linewidth(cfg, pair))
+    for width in widths:
+        span, window = sideband_window(width, delta)
+        grid = np.linspace(-span, span, points)
+        fewest = min(int(np.count_nonzero(inside)) for inside in sideband_samples(grid, delta, window))
+        if fewest <= SIDEBAND_FIT_PARAMETERS:
+            raise ConfigError(
+                f"{path}.points = {points} leaves {fewest} samples in a sideband fit window; "
+                f"the fit needs more than {SIDEBAND_FIT_PARAMETERS}"
+            )
+    return {"ratios": ratios, "pair_detuning": delta, "points": points, "cooling": cooling}
 
 
-def parse_squeeze_params(raw: dict, path: str, ds: DriveSet) -> dict:
+def parse_squeeze_params(raw: dict, path: str, cfg: SystemConfig, ds: DriveSet) -> dict:
     """``scenario.params`` of ``squeeze_sweep``, with its cooling drive."""
     _check_keys(raw, {"ratios", "measurement_ratio", "points"}, path)
     ratios = _rate_ratios(_require(raw, "ratios", path), f"{path}.ratios")
@@ -209,7 +268,7 @@ def parse_squeeze_params(raw: dict, path: str, ds: DriveSet) -> dict:
     return {"ratios": ratios, "measurement_ratio": ratio, "points": points, "cooling": cooling}
 
 
-def parse_tomography_params(raw: dict, path: str, ds: DriveSet) -> dict:
+def parse_tomography_params(raw: dict, path: str, cfg: SystemConfig, ds: DriveSet) -> dict:
     """``scenario.params`` of ``tomography``, with its cooling drive."""
     _check_keys(raw, {"n_phases", "measurement_ratio", "points"}, path)
     n_phases = _integer(_require(raw, "n_phases", path), f"{path}.n_phases")
@@ -226,7 +285,7 @@ def parse_tomography_params(raw: dict, path: str, ds: DriveSet) -> dict:
     return {"n_phases": n_phases, "measurement_ratio": ratio, "points": points, "cooling": cooling}
 
 
-def parse_probe_params(raw: dict, path: str, ds: DriveSet) -> dict:
+def parse_probe_params(raw: dict, path: str, cfg: SystemConfig, ds: DriveSet) -> dict:
     """``scenario.params`` of the one-cavity scenarios: ``driven_response``, ``single_spectrum``."""
     _check_keys(raw, {"cavity", "points", "span_hz"}, path)
     cavity = _integer(_require(raw, "cavity", path), f"{path}.cavity")
@@ -241,7 +300,7 @@ def parse_probe_params(raw: dict, path: str, ds: DriveSet) -> dict:
     return params
 
 
-def _parse_scenario(section: dict, ds: DriveSet) -> Scenario:
+def _parse_scenario(section: dict, cfg: SystemConfig, ds: DriveSet) -> Scenario:
     # the table imports this module's parsers, so it is looked up here
     from .scenarios import SCENARIOS
 
@@ -252,7 +311,7 @@ def _parse_scenario(section: dict, ds: DriveSet) -> Scenario:
         raise ConfigError(f"{path}.name must be one of {tuple(SCENARIOS)}, got {name!r}")
     noise = _parse_noise(_require(section, "noise", path), f"{path}.noise")
     parse_params, _ = SCENARIOS[name]
-    params = parse_params(_require(section, "params", path), f"{path}.params", ds)
+    params = parse_params(_require(section, "params", path), f"{path}.params", cfg, ds)
     outputs = section.get("output_dir")
     if outputs is not None and not isinstance(outputs, str):
         raise ConfigError(f"{path}.output_dir must be a string path")
@@ -295,13 +354,21 @@ def parse_config(document: dict) -> tuple[SystemConfig, DriveSet, Scenario]:
     try:
         cavities = tuple(_parse_cavity(c, i) for i, c in enumerate(cavities_raw))
         cfg = SystemConfig(mech=mech, cavities=cavities)
+        for i, cavity in enumerate(cfg.cavities):
+            # every scenario builds the rotating-wave linear model, which needs this
+            ratio = cfg.mech.omega / cavity.kappa
+            if ratio <= RESOLVED_SIDEBAND_RATIO:
+                raise ConfigError(
+                    f"system.cavities[{i}]: omega_m/kappa = {ratio:.6g} must exceed "
+                    f"{RESOLVED_SIDEBAND_RATIO:g}, the resolved-sideband condition of the linear model"
+                )
         drives_raw = document.get("drives", [])
         if not isinstance(drives_raw, list):
             raise ConfigError("drives must be a list")
         ds = DriveSet(tuple(_parse_drive(d, i) for i, d in enumerate(drives_raw)))
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
-    scenario = _parse_scenario(_require(document, "scenario", "config"), ds)
+    scenario = _parse_scenario(_require(document, "scenario", "config"), cfg, ds)
     return cfg, ds, scenario
 
 

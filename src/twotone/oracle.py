@@ -23,8 +23,10 @@ start from, follow in closed form from the moments. scipy is loaded only by
 
 from __future__ import annotations
 
+import cmath
 import functools
-from dataclasses import dataclass, field
+import math
+from dataclasses import InitVar, dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -80,9 +82,10 @@ class EffectiveDissipators:
         coeffs = np.array(self.collapse_coefficients())
         if not np.isfinite(coeffs).all():
             raise DomainError("engineered collapse coefficients must be finite")
-        a, beta = coeffs[:, 0], coeffs[:, 1]
-        moments = (float(np.sum(np.abs(a) ** 2)), float(np.sum(np.abs(beta) ** 2)))
-        object.__setattr__(self, "_moments", (*moments, complex(np.sum(a * np.conj(beta)))))
+        squares = np.abs(coeffs) ** 2
+        moments = (float(np.sum(squares[:, 0])), float(np.sum(squares[:, 1])))
+        C = complex(np.sum(coeffs[:, 0] * np.conj(coeffs[:, 1])))
+        object.__setattr__(self, "_moments", (*moments, C))
 
     @classmethod
     def from_drives(cls, mech: MechanicalMode, ds: DriveSet) -> "EffectiveDissipators":
@@ -93,16 +96,16 @@ class EffectiveDissipators:
             for d in (lo, up):
                 if d is not None and d.detuning != 0.0:
                     raise DomainError("adiabatic reduction requires resonant drives")
-            cm = np.sqrt(lo.rate) * np.exp(1j * lo.phase) if lo else 0.0
-            cp = np.sqrt(up.rate) * np.exp(1j * up.phase) if up else 0.0
+            cm = math.sqrt(lo.rate) * cmath.exp(1j * lo.phase) if lo else 0.0
+            cp = math.sqrt(up.rate) * cmath.exp(1j * up.phase) if up else 0.0
             pairs.append((cm, cp))
         return cls(gamma_m=mech.gamma, n_thermal=mech.n_thermal, engineered=tuple(pairs))
 
     def collapse_coefficients(self) -> tuple[tuple[complex, complex], ...]:
         """All collapse operators as (coefficient of b, coefficient of b+)."""
         ops = [
-            (complex(np.sqrt(self.gamma_m * (self.n_thermal + 1.0))), 0.0 + 0.0j),
-            (0.0 + 0.0j, complex(np.sqrt(self.gamma_m * self.n_thermal))),
+            (complex(math.sqrt(self.gamma_m * (self.n_thermal + 1.0))), 0.0 + 0.0j),
+            (0.0 + 0.0j, complex(math.sqrt(self.gamma_m * self.n_thermal))),
         ]
         ops.extend(self.engineered)
         return tuple(ops)
@@ -138,14 +141,15 @@ class TruncatedState:
             raise DomainError("density matrix shape does not match truncation")
         if not np.isfinite(rho).all():
             raise NumericalError("state holds a non-finite entry")
-        trace = np.trace(rho)
+        trace = complex(np.trace(rho))
         if abs(trace.real - 1.0) > _TRACE_TOL or abs(trace.imag) > _TRACE_TOL:
             raise NumericalError(f"state trace {trace:.12g} differs from 1")
         adjoint = rho.conj().T
-        if np.max(np.abs(rho - adjoint)) > 1e-9:
+        if np.abs(rho - adjoint).max() > 1e-9:
             raise NumericalError("state is not Hermitian")
-        shifted = 0.5 * (rho + adjoint)
-        shifted.flat[:: self.n_trunc + 1] += _EIGENVALUE_TOL
+        shifted = rho + adjoint
+        shifted *= 0.5
+        shifted.reshape(-1)[:: self.n_trunc + 1] += _EIGENVALUE_TOL
         try:
             np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
@@ -232,6 +236,13 @@ class CoherenceBlocks:
       in. Their kernel x_d[q] is e^{i theta d} rho[q + d, q], the state
       rotated to e^{i theta b+b} rho e^{-i theta b+b}; 0 is the frame of
       ``build_liouvillian``, the lab frame.
+    - ``within``: the diagonal blocks again, as 2K + 1 bands that the
+      residual check reads: ``within[k][j, q]`` is the entry of block j at
+      (q, q + k - K), 0 where that column leaves the block; rows q beyond
+      the block meet only zeros of the state. Left out, it is
+      read off ``diagonal``, every diagonal of every block (K = N - 1), so
+      blocks built or replaced by hand stay consistent; ``coherence_blocks``
+      passes the three bands (K = 1) of its tridiagonal blocks.
     """
 
     n_trunc: int
@@ -240,6 +251,18 @@ class CoherenceBlocks:
     down: NDArray[np.inexact]
     norm: float
     theta: float
+    within: InitVar[tuple[NDArray[np.inexact], ...] | None] = None
+    _within: tuple[NDArray[np.inexact], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self, within):
+        if within is None:
+            n = self.n_trunc
+            bands = np.zeros((2 * n - 1, len(self.diagonal), n), np.result_type(*self.diagonal))
+            for j, block in enumerate(self.diagonal):
+                q, column = np.indices(block.shape)
+                bands[column - q + n - 1, j, q] = block
+            within = tuple(bands)
+        object.__setattr__(self, "_within", within)
 
 
 def coherence_blocks(d: EffectiveDissipators, n_trunc: int) -> CoherenceBlocks:
@@ -253,7 +276,8 @@ def coherence_blocks(d: EffectiveDissipators, n_trunc: int) -> CoherenceBlocks:
     same in every frame, and each coupling to d +- 2 has the three bands
     ``up`` and ``down``. Only the even orders of ``_bands`` are formed, and
     the diagonal blocks are written by one scatter into one packed buffer,
-    order 0 first; ``diagonal`` holds views into it. The Frobenius norm
+    order 0 first; ``diagonal`` holds views into it, and ``within`` the
+    three bands they were written from. The Frobenius norm
     takes bands 1 to 8 from the layout's sums of squares and band 0 in
     O(N): over both signs of d it is the sum over p, q < N of (k_p + k_q)^2 / 4.
     """
@@ -264,9 +288,11 @@ def coherence_blocks(d: EffectiveDissipators, n_trunc: int) -> CoherenceBlocks:
     k[:n] = A * layout.levels[0] + B * layout.levels[1]
     coef = np.array([A, B, -0.5 * c, c, -0.5 * c, -0.5 * c, c, -0.5 * c])
     even = coef[:, None, None] * layout.unit[:, ::2]
-    diagonal = tuple(layout.diagonal.pack(np.float64, -0.5 * (k[layout.p[::2]] + k[:n]), even))
+    main = -0.5 * (k[layout.p[::2]] + k[:n])  # beyond the block, where x is 0, it holds -k_q / 2
+    diagonal = tuple(layout.diagonal.pack(np.float64, main, even))
     norm = float(np.sqrt(coef**2 @ layout.sums + 0.5 * (n * (k @ k) + k.sum() ** 2)))
-    return CoherenceBlocks(n, diagonal, even[2:5], even[5:8], norm, float(np.angle(C)) / 2.0)
+    theta = float(np.angle(C)) / 2.0
+    return CoherenceBlocks(n, diagonal, even[2:5], even[5:8], norm, theta, (even[1], main, even[0]))
 
 
 class _Packing(NamedTuple):
@@ -304,8 +330,11 @@ class _Layout(NamedTuple):
     m = N - 2j, level j holds the lowering matrix L_{2j,2j-2} (m x m + 2)
     with entry (q, q + i) = ``down[i, j, q]``, then the raising matrix
     L_{2j-2,2j} (m + 2 x m) with entry (q + i, q) = ``up[i, j - 1, q + i]``.
-    ``placed`` is the (j, q) of every x_{2j}[q] within the truncation, and
-    ``weights`` are ``quad_variance``'s <q|b|q+1>, <q|b^2|q+2> and
+    ``placed`` holds, for every x_{2j}[q] within the truncation, j, its
+    flat index in ``steady_state``'s (top + 3, N + 4, 2) buffer, where it
+    sits at [j + 1, q + 2, 0], and the flat indices of rho[q + 2j, q] and
+    rho[q, q + 2j] in the N x N state; ``weights`` are
+    ``quad_variance``'s <q|b|q+1>, <q|b^2|q+2> and
     diagonal of the truncated b b+ + b+ b.
     """
 
@@ -315,7 +344,7 @@ class _Layout(NamedTuple):
     levels: NDArray[np.float64]
     diagonal: _Packing
     coupling: _Packing
-    placed: tuple[NDArray[np.intp], NDArray[np.intp]]
+    placed: tuple[NDArray[np.intp], NDArray[np.intp], NDArray[np.intp], NDArray[np.intp]]
     weights: tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]
 
 
@@ -323,8 +352,8 @@ class _Layout(NamedTuple):
 def _layout(n: int) -> _Layout:
     """The read-only ``_Layout`` of truncation ``n``, built once and shared.
 
-    The cache holds one layout per rung of ``_LADDER``, about 112 N^2 bytes
-    each and 3.3 MB for all eight.
+    The cache holds one layout per rung of ``_LADDER``, about 116 N^2 bytes
+    each and 3.5 MB for all eight.
     """
     if n < 2:
         raise DomainError("truncation must be at least 2 to represent the mode")
@@ -374,7 +403,9 @@ def _layout(n: int) -> _Layout:
         shapes += [(a, k, k + 2), (b, k + 2, k)]
     coupling = _Packing(int(np.sum(2 * area)), targets, (at + n, at + band), tuple(shapes))
 
-    placed = np.nonzero(q + 2 * np.arange((n + 1) // 2)[:, None] < n)
+    order, row = np.nonzero(q + 2 * np.arange((n + 1) // 2)[:, None] < n)
+    below = row + 2 * order
+    placed = (order, 2 * ((order + 1) * (n + 4) + row + 2), below * n + row, row * n + below)
     levels = np.array([q, np.append(q[1:], 0)], dtype=float)
     one = np.sqrt(q[1:])  # <q|b|q+1>
     weights = (one, one[:-1] * one[1:], levels[0] + levels[1])
@@ -386,7 +417,31 @@ def _layout(n: int) -> _Layout:
 
 def _both_signs_norm(a: NDArray) -> float:
     """2-norm of the entries of orders d >= 0, indexed along axis 0, and their mirrors at -d."""
-    return float(np.sqrt(2.0 * np.vdot(a, a).real - np.vdot(a[0], a[0]).real))
+    return math.sqrt(2.0 * np.vdot(a, a).real - np.vdot(a[0], a[0]).real)
+
+
+def _residual(blocks: CoherenceBlocks, padded: NDArray) -> NDArray:
+    """Rows d = 2j >= 0 of L x, for the even-sector state x held zero-padded.
+
+    ``padded`` is (top + 3, N + 4) with x_{2j}[q] at [j + 1, q + 2] and 0
+    everywhere else, the layout of ``steady_state``'s buffer; x_{-d} is
+    taken to be the conjugate of x_d, a Hermitian state. The rows are nine
+    shifted band products over all orders at once, three within the order
+    (``within``) and three to each neighbour, so no Python loop runs over
+    the orders: order 2j + 2 through ``up`` and 2j - 2 through ``down``,
+    whose rows at order 0 meet the zero order below and take instead the
+    conjugate of order 0's coupling up, the mirror of order -2. Entry
+    [j, q] of the result is row rho[q + 2j, q], 0 beyond the block.
+    """
+    n, up, down, within = blocks.n_trunc, blocks.up, blocks.down, blocks._within
+    x = padded[1:-1, 2:-2]
+    raised = up[0] * padded[2:, 2:-2] + up[1] * padded[2:, 1:-3] + up[2] * padded[2:, :-4]
+    rows = raised + down[0] * padded[:-2, 2:-2] + down[1] * padded[:-2, 3:-1] + down[2] * padded[:-2, 4:]
+    rows[0] += raised[0].conj()
+    for offset, band in enumerate(within, start=(1 - len(within)) // 2):
+        lo, hi = max(0, -offset), n - max(0, offset)
+        rows[:, lo:hi] += band[:, lo:hi] * x[:, lo + offset : hi + offset]
+    return rows
 
 
 def steady_state(blocks: CoherenceBlocks) -> TruncatedState:
@@ -418,16 +473,24 @@ def steady_state(blocks: CoherenceBlocks) -> TruncatedState:
     caches for the truncation, laid out level by level from
     d = 2 outward: the dense m x (m + 2) lowering matrix L_{d,d-2}, then the
     dense (m + 2) x m raising matrix L_{d-2,d}, with m = N - d. Each level
-    is then one solve, one matrix product and one subtraction.
-    Only d > 0 is eliminated; order -d contributes the conjugate, so the
-    order-0 Schur complement is L_00 - M - conj(M) with M = L_{0,2} W_2. Its
-    rho[0, 0] row is replaced by the trace functional, scaled to the
-    root-mean-square row norm so that no check depends on the units of L,
-    and that N x N matrix solves two right-hand sides: the (scaled) unit
-    vector of that row gives the state x1 with unit trace, the unit vector
-    of the rho[N-1, N-1] row gives z1. Back
-    substitution x_d = -W_d x_{d-2} fills rho[q + d, q] and, conjugated,
-    rho[q, q + d].
+    is then one solve, one matrix product and one subtraction, written over
+    that fresh product; the products go through ``np.dot``, which calls the
+    same BLAS routine as ``@`` with less dispatch. Only d > 0 is eliminated;
+    order -d contributes the conjugate, so the order-0 Schur complement is
+    L_00 - M - conj(M) with M = L_{0,2} W_2. Its rho[0, 0] row is replaced
+    by the trace functional, scaled to the root-mean-square row norm so that
+    no check depends on the units of L, and that N x N matrix solves two
+    right-hand sides: the (scaled) unit vector of that row gives the state
+    x1 with unit trace, the unit vector of the rho[N-1, N-1] row gives z1.
+    Back substitution x_d = -W_d x_{d-2} writes each order with
+    ``np.dot(..., out=)`` into one (top + 3, N + 4, 2) buffer, x_{2j}[q] at
+    [j + 1, q + 2] with a zero order on either side and two zero columns on
+    either end, and W_d is never negated: the buffer holds (-1)^j x_{2j}
+    until one pass writes 0 - x over the odd orders. That is exact: each
+    term of the product is the negated term of -W_d x_{d-2}, a rounded sum
+    of negated terms is the negated sum, and a zero sum is +0 either way,
+    which 0 - x keeps. The state x1 then fills rho[q + d, q] and,
+    conjugated, rho[q, q + d].
 
     Three checks guard the solve; none is a proof of uniqueness.
     - Singular values: with every outer Schur block nonsingular, the
@@ -448,7 +511,8 @@ def steady_state(blocks: CoherenceBlocks) -> TruncatedState:
       differ in the rho[0, 0] and rho[N-1, N-1] rows.
     - Residual: ||L x|| over both signs of d, against the generator's
       Frobenius norm times ||x||, sees a solve spoiled by an ill-conditioned
-      outer block.
+      outer block. ``_residual`` forms L x from the same buffer, as nine
+      shifted band products over all orders at once.
     A kernel vector in the odd sector carries no trace and is seen by none
     of them; on the device's drive sets up to N = 41 the odd block's
     smallest-to-largest singular value ratio stays above 2e-4.
@@ -460,11 +524,11 @@ def steady_state(blocks: CoherenceBlocks) -> TruncatedState:
     TruncationError
         If the top-level population exceeds ``TAIL_THRESHOLD``.
     """
-    n, diagonal, up, down = blocks.n_trunc, blocks.diagonal, blocks.up, blocks.down
-    dtype = np.result_type(up, down, *diagonal)
+    n, diagonal = blocks.n_trunc, blocks.diagonal
+    dtype = np.result_type(blocks.up, blocks.down, *diagonal)
     top = len(diagonal) - 1
     layout = _layout(n)
-    couplings = layout.coupling.pack(dtype, down, up)
+    couplings = layout.coupling.pack(dtype, blocks.down, blocks.up)
     w = [None] * (top + 1)
     schur = diagonal[top]
     for j in range(top, 0, -1):
@@ -475,14 +539,17 @@ def steady_state(blocks: CoherenceBlocks) -> TruncatedState:
             raise NumericalError(
                 f"steady-state solve failed: the Schur block of order {2 * j} is singular"
             ) from exc
-        inflow = raising @ w[j]
-        schur = diagonal[j - 1] - inflow
-    if top:
-        schur -= inflow.conj()  # order -2 mirrors order 2
+        inflow = np.dot(raising, w[j])
+        if j > 1:  # the next Schur block takes the place of this fresh product
+            schur = np.subtract(diagonal[j - 1], inflow, out=inflow)
+    if top:  # order 0 takes the term of order 2 and, conjugated, that of its mirror -2
+        schur = diagonal[0] - inflow
+        schur -= inflow.conj() if dtype.kind == "c" else inflow
 
-    l0 = schur[0]
     trace = np.linalg.norm(schur) / n  # the row norm of n entries of this size
-    constrained = np.vstack([np.full(n, trace), schur[1:]])
+    l0 = schur[0].copy()
+    constrained = schur if top else schur.copy()  # at top = 0 it is the caller's block
+    constrained[0] = trace
     rhs = np.zeros((n, 2))
     rhs[0, 0], rhs[-1, 1] = trace, 1.0
     try:
@@ -493,45 +560,44 @@ def steady_state(blocks: CoherenceBlocks) -> TruncatedState:
                 "Liouvillian kernel is degenerate: smallest-to-largest singular value "
                 f"ratio {ratio:.3g} of the constrained order-0 Schur complement"
             )
-        x = np.zeros((top + 1, n, 2), dtype=dtype)
-        x[0] = np.linalg.solve(constrained, rhs)
+        x0 = np.linalg.solve(constrained, rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"steady-state solve failed: {exc}") from exc
+    padded = np.zeros((top + 3, n + 4, 2), dtype=dtype)
+    padded[1, 2:-2] = x0
     for j in range(1, top + 1):
-        x[j, : n - 2 * j] = -w[j] @ x[j - 1, : n - 2 * j + 2]
-    x1, z1 = x[..., 0], x[..., 1]
+        m = n - 2 * j
+        np.dot(w[j], padded[j, 2 : m + 4], out=padded[j + 1, 2 : m + 2])
+    odd = padded[2::2]
+    np.subtract(0.0, odd, out=odd)
+    x1, z1 = padded[1:-1, 2:-2, 0], padded[1:-1, 2:-2, 1]
 
     l0_z1 = l0 @ z1[0]
-    if l0_z1 == 0 or not np.isfinite(l0_z1):
+    if l0_z1 == 0 or not cmath.isfinite(l0_z1):
         raise NumericalError("steady-state solve failed: the last-row constraint is singular")
-    if np.max(np.abs((l0 @ x1[0]) / l0_z1 * z1)) > 1e-8 * max(1.0, np.max(np.abs(x1))):
+    if np.abs((l0 @ x1[0]) / l0_z1 * z1).max() > 1e-8 * max(1.0, np.abs(x1).max()):
         raise NumericalError(
             "Liouvillian kernel is degenerate: steady state depends on the "
             "imposed constraint row"
         )
 
     # the state as returned: real populations, order -d the conjugate of d
-    x1[0] = x1[0].real
-    above = np.zeros((top + 2, n + 2), dtype=dtype)
-    above[: top + 1, 2:] = x1
-    below = np.zeros((top + 1, n + 2), dtype=dtype)
-    below[1:, :n] = x1[:-1]
-    raised = sum(up[i] * above[1:, 2 - i : n + 2 - i] for i in range(3))
-    residual = raised + sum(down[i] * below[:, i : n + i] for i in range(3))
-    residual[0] += raised[0].conj()
-    for j, block in enumerate(diagonal):
-        residual[j, : n - 2 * j] += block @ x1[j, : n - 2 * j]
-    residual = _both_signs_norm(residual)
+    if dtype.kind == "c":
+        x1[0] = x1[0].real
+    residual = _both_signs_norm(_residual(blocks, padded[..., 0]))
     scale = blocks.norm * _both_signs_norm(x1)
     if not residual <= 1e-9 * max(scale, 1.0):  # a NaN residual or norm fails too
         raise NumericalError(f"steady-state residual {residual:.3g} too large")
 
-    j, q = layout.placed
+    order, source, lower, upper = layout.placed
     rotation = np.exp(-2j * blocks.theta * np.arange(top + 1))  # back to theta = 0
+    entries = rotation[order] * padded.take(source)
     rho = np.zeros((n, n), dtype=complex)
-    rho[q + 2 * j, q] = rotation[j] * x1[j, q]
-    rho[q, q + 2 * j] = rho[q + 2 * j, q].conj()
-    state = TruncatedState(rho=rho / np.trace(rho).real, n_trunc=n)
+    flat = rho.reshape(-1)
+    flat[lower] = entries
+    flat[upper] = entries.conj()  # the diagonal, written twice, keeps the conjugate
+    rho /= np.trace(rho).real
+    state = TruncatedState(rho=rho, n_trunc=n)
     if state.tail_population > TAIL_THRESHOLD:
         raise TruncationError(
             f"top-level population {state.tail_population:.3g} exceeds "
@@ -601,13 +667,23 @@ def gaussian_populations(v: NDArray[np.float64], size: int) -> NDArray[np.float6
     r = (lam - 1) / (lam + 1), whose series has coefficients
     sqrt(2 / (lam + 1)) C(2k, k) 4^-k r^k; P(n) is the convolution of the two.
     """
-    k = np.arange(1, size)
-    central = np.cumprod(np.append(1.0, (2.0 * k - 1.0) / (2.0 * k)))  # C(2k, k) 4^-k
+    central, k = _series_terms(size)
     series = [
-        np.sqrt(2.0 / (lam + 1.0)) * central * ((lam - 1.0) / (lam + 1.0)) ** np.arange(size)
+        np.sqrt(2.0 / (lam + 1.0)) * central * ((lam - 1.0) / (lam + 1.0)) ** k
         for lam in np.linalg.eigvalsh(v)
     ]
     return np.convolve(*series)[:size]
+
+
+@functools.lru_cache(maxsize=4)
+def _series_terms(size: int) -> tuple[NDArray[np.float64], NDArray[np.intp]]:
+    """C(2k, k) 4^-k and k for k = 0 .. size - 1, read-only and shared by every call."""
+    k = np.arange(1, size)
+    central = np.cumprod(np.append(1.0, (2.0 * k - 1.0) / (2.0 * k)))
+    k = np.arange(size)
+    for a in (central, k):
+        a.flags.writeable = False
+    return central, k
 
 
 def _predicted_rung(d: EffectiveDissipators) -> int:

@@ -36,6 +36,8 @@ from .config import (
     parse_probe_params,
     parse_squeeze_params,
     parse_tomography_params,
+    sideband_samples,
+    sideband_window,
 )
 from .dynamics import (
     build_linear_model,
@@ -158,8 +160,8 @@ class _Run:
 def _fit_sidebands(noisy, delta: float, window: float, width: float):
     """Anti-Stokes and Stokes fits of the sidebands at -delta and +delta."""
     return tuple(
-        fit_lorentzian(noisy.windowed(np.abs(noisy.freq - c) < window), fwhm=width, center=c)
-        for c in (-delta, delta)
+        fit_lorentzian(noisy.windowed(inside), fwhm=width, center=c)
+        for inside, c in zip(sideband_samples(noisy.freq, delta, window), (-delta, delta))
     )
 
 
@@ -228,8 +230,7 @@ def _run_backaction_sweep(run: _Run, ds: DriveSet, params: dict) -> None:
             (cooling,) + drive_pair(1, gamma_meas, gamma_meas, detuning=delta)
         )
         width = effective_linewidth(run.cfg, ds_nonqnd)
-        span = delta + 10.0 * width
-        window = min(0.85 * delta, span - delta)
+        span, window = sideband_window(width, delta)
         _, (anti, stokes) = run.measure(
             ds_nonqnd, 1, 3 * k, f"{tag}_nonqnd",
             lambda noisy: _fit_sidebands(noisy, delta, window, width), points=points, span=span,

@@ -678,7 +678,7 @@ def test_layout_is_read_only_and_shared(n):
     layout = _layout(n)
     assert _layout(n) is layout
     arrays = list(layout_arrays(layout))
-    assert len(arrays) == 17
+    assert len(arrays) == 19
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):

@@ -533,6 +533,14 @@ class TestSectorSolve:
         with pytest.raises(NumericalError):
             steady_state(jump_blocks(rates))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_row_swap_sees_a_kernel_behind_flat_singular_values(self, monkeypatch, seed):
+        # the singular values see these kernels first; reported flat, they
+        # leave the row swap alone to see the weakly linked blocks' two states
+        monkeypatch.setattr(np.linalg, "svd", lambda a, compute_uv: np.ones(len(a)))
+        with pytest.raises(NumericalError, match="depends on the imposed constraint row"):
+            steady_state(jump_blocks(linked_two_block_rates(1e-12, seed)))
+
     @pytest.mark.parametrize("seed", [4, 5, 6, 7, 8, 10])
     def test_kernel_hidden_from_the_row_swap_detected(self, seed):
         # without the uniqueness check these seeds returned the block-A state
@@ -703,6 +711,76 @@ def test_both_frames_match_two_factorizations(d, n):
     atol = 1e-12 * np.max(np.abs(reference.rho))
     for frame in (blocks, lab_frame(blocks)):
         np.testing.assert_allclose(steady_state(frame).rho, reference.rho, rtol=0.0, atol=atol)
+
+
+def random_even_orders(n, seed):
+    """Orders d = 2j of a random Hermitian even-sector state, 0 beyond each block.
+
+    Complex everywhere but on the real diagonal, so that every band, and
+    the conjugate mirror of order -2, meets a nonzero entry.
+    """
+    rng = np.random.default_rng(seed)
+    orders = np.arange(0, n, 2)
+    x = rng.standard_normal((orders.size, n)) + 1j * rng.standard_normal((orders.size, n))
+    x[0] = x[0].real
+    return x * (np.arange(n) + orders[:, None] < n)
+
+
+def assert_residual_rows_of_the_generator(blocks, lv, x):
+    """``_residual`` on the orders x, in the blocks' frame, against lv @ vec(rho).
+
+    rho[q + d, q] = e^{-i theta d} x_d[q] is the state in the lab frame of
+    ``lv``; row (d, q) of the result, turned back to the blocks' frame, is
+    e^{i theta d} (L rho)[q + d, q]. They agree to 1e-12 of ||L|| ||x||.
+    """
+    n = blocks.n_trunc
+    padded = np.zeros((x.shape[0] + 2, n + 4), dtype=complex)
+    padded[1:-1, 2:-2] = x
+    j, q = np.nonzero(np.arange(n) + 2 * np.arange(x.shape[0])[:, None] < n)
+    turn = np.exp(2j * blocks.theta * j)
+    rho = np.zeros((n, n), dtype=complex)
+    rho[q + 2 * j, q] = x[j, q] / turn
+    rho[q, q + 2 * j] = rho[q + 2 * j, q].conj()
+    applied = (lv @ rho.reshape(-1, order="F")).reshape((n, n), order="F")
+    expected = np.zeros_like(x)
+    expected[j, q] = turn * applied[q + 2 * j, q]
+    got = oracle._residual(blocks, padded)
+    assert np.linalg.norm(got - expected) <= 1e-12 * blocks.norm * np.linalg.norm(x)
+
+
+class TestBandedResidual:
+    """The residual's nine shifted band products against the sparse generator."""
+
+    @pytest.mark.parametrize("g_minus, plus_ratio, meas_ratio, angle, n_trunc", LADDER_CASES)
+    def test_ladder_rungs(self, mech, g_minus, plus_ratio, meas_ratio, angle, n_trunc):
+        d = device_dissipators(mech, g_minus, plus_ratio, meas_ratio, angle)
+        lv = build_liouvillian(d, n_trunc)
+        blocks = coherence_blocks(d, n_trunc)
+        state = steady_state(blocks).rho
+        j, q = np.nonzero(np.arange(n_trunc) + 2 * np.arange((n_trunc + 1) // 2)[:, None] < n_trunc)
+        steady = np.zeros(((n_trunc + 1) // 2, n_trunc), dtype=complex)
+        steady[j, q] = np.exp(2j * blocks.theta * j) * state[q + 2 * j, q]
+        for frame in (blocks, lab_frame(blocks)):
+            for x in (random_even_orders(n_trunc, n_trunc), steady):
+                if frame is not blocks:  # the lab frame's orders carry the rotation
+                    x = x * np.exp(-2j * blocks.theta * np.arange(len(x)))[:, None]
+                assert_residual_rows_of_the_generator(frame, lv, x)
+
+    @pytest.mark.parametrize("case", ["linked", "drained"])
+    def test_bands_read_off_dense_blocks(self, case):
+        # blocks built by hand carry every diagonal of their dense blocks
+        rates = linked_two_block_rates(1e-2, 0) if case == "linked" else drained_two_block_rates(4)
+        blocks = jump_blocks(rates)
+        assert len(blocks._within) == 2 * len(rates) - 1
+        assert_residual_rows_of_the_generator(blocks, jump_generator(rates), random_even_orders(len(rates), 5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=dissipators, n=st.integers(min_value=2, max_value=24), seed=st.integers(0, 2**32 - 1))
+def test_banded_residual_matches_the_sparse_generator(d, n, seed):
+    blocks = coherence_blocks(d, n)
+    assert len(blocks._within) == 3
+    assert_residual_rows_of_the_generator(blocks, build_liouvillian(d, n), random_even_orders(n, seed))
 
 
 # baths from the vacuum to n_th = 50 and from weak to 3000 gamma_m cooling;
