@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 2 configuration error or an input outside the
 physical domain, 3 physics instability, 4 numerical or fit failure.
+``run`` checks the configured drives with ``validate_system`` first and,
+as ``validate`` does, exits 3 when a check fails, before it makes the
+output directory.
 """
 
 from __future__ import annotations
@@ -62,6 +65,9 @@ def main(argv: list[str] | None = None) -> int:
             out_dir = args.out or scenario.outputs
             if out_dir is None:
                 raise ConfigError("no output directory: pass --out or set scenario.output_dir")
+            failed = validate_system(cfg, ds).failures()
+            if failed:
+                raise InstabilityError(f"physics checks failed: {', '.join(c.name for c in failed)}")
             manifest = run_scenario(
                 cfg,
                 ds,

@@ -65,7 +65,7 @@ class InputChannel:
         return 2.0 * self.occupancy + 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearModel:
     """Drift/diffusion description of the linearized system.
 
@@ -120,7 +120,7 @@ class LinearModel:
         return b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovarianceMatrix:
     """6x6 symmetrized quadrature covariance, vacuum-normalized."""
 
@@ -146,7 +146,7 @@ class CovarianceMatrix:
         return bool(eig.min() > -_PHYSICAL_TOL)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Output photon-flux spectral density on a laboratory frequency grid.
 

@@ -278,7 +278,7 @@ def occupancy_from_sidebands(
     return n_anti, n_stokes, calibration
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TomogramFit:
     """Reconstructed mechanical second moments from a phase sweep.
 

@@ -121,7 +121,7 @@ class EffectiveDissipators:
         return self._moments
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruncatedState:
     """Density matrix on a Fock space of dimension ``n_trunc``.
 
@@ -217,7 +217,7 @@ def build_liouvillian(d: EffectiveDissipators, n_trunc: int) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(n * n, n * n), dtype=complex)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoherenceBlocks:
     """Even parity sector of a generator, in blocks of coherence order d.
 

@@ -5,8 +5,10 @@ synthesizes noisy spectra, runs the inference pipeline and emits plain data
 tables (CSV) plus fit records (JSON). Plotting is left to the consumer. All
 floating-point output is serialized with 17 significant digits and every
 random draw is keyed by (seed, point index), so a rerun with the same
-configuration and seed reproduces the data artifacts byte for byte. The run
-manifest records timings and is therefore excluded from that guarantee.
+configuration and seed, on the same numpy and BLAS kernel, reproduces the
+data artifacts byte for byte. On another kernel the values agree within the
+bounds that ``tests/test_reference.py`` states. The run manifest records
+timings and is excluded from either guarantee.
 
 A runner is called as ``runner(run, ds, params)`` and writes only through
 its run context ``run`` (``_Run``), which lists each artifact in the

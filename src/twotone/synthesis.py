@@ -3,9 +3,11 @@
 Stands in for the cryogenic amplifier chain: adds a flat noise floor and the
 statistics of M averaged periodograms, each flux bin drawn independently as
 (flux + floor) chi^2(2M) / (2M). Draws use the counter-based 64-bit Philox
-generator keyed by (seed, stream), so fixed seeds give identical samples
-across runs and platforms and independent streams can be generated in
-parallel without overlap.
+generator keyed by (seed, stream), so fixed seeds give identical chi-square
+draws across runs and platforms and independent streams can be generated in
+parallel without overlap. The measured flux scales those draws by the
+ideal flux, which comes through BLAS, so its bits hold only on the same
+numpy and BLAS kernel.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ class NoiseModel:
             raise DomainError(f"noise seed must be non-negative, got {self.seed}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoisySpectrum:
     """A synthesized measurement: truth, samples and per-bin standard error.
 

@@ -3,7 +3,7 @@
 A table is optional ``# key: value`` comment lines (a ``warnings`` entry
 becomes one ``# warning:`` line per warning), a header of column names and
 one row per sample with every value written as ``%.17g``, which round-trips
-IEEE doubles exactly and keeps reruns byte-identical.
+IEEE doubles exactly, so equal values give equal bytes.
 
 The fields are formatted by one numpy kernel, ``twotone._fields``, loaded
 by the first table written, a whole table per call (up to ``BLOCK`` rows),

@@ -9,8 +9,9 @@ entry of a list), and every numeric field of the mechanics, the cavities and
 the drives. Warnings are errors, as in the test suite. Each document goes
 through ``validate`` and ``run``, and must keep the rules of
 ``both_commands``: exit 0, 2, 3 or 4 without a traceback; ``validate`` exits
-2 exactly when ``run`` does, and such a run makes no output directory; an
-output directory holds exactly its manifest's artifacts and
+2 exactly when ``run`` does, and such a run makes no output directory;
+when ``validate`` exits 3, ``run`` exits 3 and makes no output directory;
+an output directory holds exactly its manifest's artifacts and
 ``manifest.json``. Any broken rule is listed and makes the scan exit 1. The
 scan ends with the tally of (validate's exit, run's exit, output directory
 made).

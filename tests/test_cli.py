@@ -316,6 +316,19 @@ class TestExitCodes:
         )
         assert sorted(p.name for p in out.iterdir()) == sorted(manifest["artifacts"] + ["manifest.json"])
 
+    @pytest.mark.parametrize("name", ["paper_device.json", "squeeze_sweep.json"])
+    def test_failed_physics_check_exits_three_before_any_artifact(self, tmp_path, capsys, name):
+        # a drive far outside the weak-coupling regime fails validate_system
+        document = bundled_document(name)
+        document["drives"][0]["rate_hz"] = 1e12
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(document))
+        assert main(["validate", "--config", str(path)]) == 3
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("instability: physics checks failed: weak_coupling_cavity2_lower")
+        assert not (tmp_path / "out").exists()
+
     def test_zero_area_sideband_exits_four(self, tmp_path, capsys):
         assert main(self.bundled_with(tmp_path, "backaction_sweep.json", ratios=[1e-6, 0.1])) == 4
         err = capsys.readouterr().err
@@ -386,9 +399,10 @@ def both_commands(document):
     Returns ``(validate's exit, run's exit, whether run made its output
     directory)`` and the broken rules: each command exits 0, 2 (config), 3
     (instability) or 4 (numerics) without a traceback; ``validate`` exits 2
-    exactly when ``run`` does, and such a run makes no output directory; an
-    output directory holds exactly ``manifest.json`` and the manifest's
-    artifacts. An uncaught exception propagates.
+    exactly when ``run`` does, and such a run makes no output directory;
+    when ``validate`` exits 3, ``run`` exits 3 and makes no output
+    directory; an output directory holds exactly ``manifest.json`` and the
+    manifest's artifacts. An uncaught exception propagates.
     """
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "config.json", Path(tmp) / "out"
@@ -404,6 +418,10 @@ def both_commands(document):
             broken.append(f"validate exits {checked}, run exits {ran}")
         if ran == 2 and out.exists():
             broken.append("exit 2 after making the output directory")
+        if checked == 3 and ran != 3:
+            broken.append(f"validate exits 3, run exits {ran}")
+        if checked == 3 and out.exists():
+            broken.append("validate exits 3, yet run made the output directory")
         if out.exists():
             manifest = out / "manifest.json"
             listed = json.loads(manifest.read_text())["artifacts"] if manifest.exists() else []

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import gc
 import math
@@ -25,6 +26,9 @@ from twotone import dynamics
 from twotone.config import bundled_config_path, load_config
 from twotone.dynamics import Spectrum, _resolvent_solve, _solve_frame_shifts
 from twotone.errors import DomainError, InstabilityError, NumericalError
+from twotone.inference import tomography_sweep
+from twotone.oracle import EffectiveDissipators, TruncatedState, coherence_blocks
+from twotone.synthesis import NoiseModel, synthesize
 from twotone.sysmodel import LOWER, UPPER, Cavity, Drive, DriveSet, SystemConfig, drive_pair
 from twotone.tables import write_csv
 
@@ -718,3 +722,25 @@ def test_warm_hot_kernels_take_no_page_faults(cfg, mech, tmp_path, kernel):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     call()
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 50
+
+
+def test_array_records_compare_and_hash_by_identity(cfg, mech, cooling_529):
+    # records that hold arrays compare by identity: field-wise == would ask
+    # numpy for the truth value of an array, and hash() would fail
+    model = build_linear_model(cfg, cooling_529)
+    spectrum = output_spectrum(model, 2, spectrum_grid(model, points=41))
+    phases = np.linspace(0.0, math.pi, 7)
+    records = [
+        model,
+        steady_covariance(model),
+        spectrum,
+        synthesize(spectrum, NoiseModel(), stream=0),
+        tomography_sweep(phases, 1.0 + 0.5 * np.sin(phases) ** 2, np.full(7, 0.01)),
+        TruncatedState(rho=np.eye(3) / 3.0, n_trunc=3),
+        coherence_blocks(EffectiveDissipators.from_drives(mech, cooling_529), 8),
+    ]
+    for record in records:
+        twin = copy.deepcopy(record)  # equal fields, distinct arrays
+        assert record == record
+        assert record != twin
+        assert len({record, twin, record}) == 2
