@@ -587,39 +587,44 @@ def transparency_window_fwhm(cfg: SystemConfig, ds: DriveSet, probe_cavity: int)
     edge = 0.5 * (s11[0] + s11[-1])
     peak = int(np.argmax(np.abs(s11 - edge)))
     d0 = (s11[peak] - edge) * width_guess / 2.0
-    p0 = np.array(
-        [edge.real, edge.imag, 0.0, 0.0, d0.real, d0.imag, grid[peak], width_guess]
-    )
+    p0 = np.array([edge.real, edge.imag, 0.0, 0.0, d0.real, d0.imag, grid[peak], width_guess])
 
     n = grid.size
+    # the last residual's pole denominator -i (w - w0) + fwhm / 2, reused by a Jacobian there
+    denominator, formed_at = np.empty(n, dtype=complex), [b""]
+
+    def form_denominator(p):
+        np.add(-1j * (grid - p[6]), p[7] / 2.0, out=denominator)
+        formed_at[0] = p[6:].tobytes()
 
     def residuals(p):
         c0 = p[0] + 1j * p[1]
         c1 = p[2] + 1j * p[3]
         d = p[4] + 1j * p[5]
-        model = c0 + c1 * grid + d / (-1j * (grid - p[6]) + p[7] / 2.0)
+        form_denominator(p)
+        model = c0 + c1 * grid + d / denominator
         diff = np.empty(2 * n)  # new on every call, as the solver requires
         np.subtract(model.real, s11.real, out=diff[:n])
         np.subtract(model.imag, s11.imag, out=diff[n:])
         return diff
 
-    # the transposed Jacobian, real parts then imaginary parts: the rows of
-    # c0 and c1 are constant and written once, each call writes the four of
-    # D, w0 and fwhm
-    jt = np.empty((8, 2 * n))
-    ones = np.ones_like(grid)
-    constant_rows = np.stack([ones, 1j * ones, grid, 1j * grid])
-    jt[:4, :n], jt[:4, n:] = constant_rows.real, constant_rows.imag
-    pole_rows = np.empty((4, n), dtype=complex)
-    inv, turned, moved, widened = pole_rows
+    # the transposed Jacobian, real parts then imaginary parts: the rows of c0
+    # and c1 are constant and written once, as 1, 1j, w and 1j * w (whose real
+    # part 0 w is -0 for w < 0); each call writes the four of D, w0 and fwhm
+    jt = np.zeros((8, 2 * n))
+    jt[0, :n] = jt[1, n:] = 1.0
+    jt[2, :n] = jt[3, n:] = grid
+    np.multiply(0.0, grid, out=jt[3, :n])
+    inv, turned, moved, widened = pole_rows = np.empty((4, n), dtype=complex)
     pole = np.empty(n, dtype=complex)
 
     def jacobian(p):
         d = p[4] + 1j * p[5]
-        np.divide(1.0, -1j * (grid - p[6]) + p[7] / 2.0, out=inv)
+        if formed_at[0] != p[6:].tobytes():
+            form_denominator(p)
+        np.divide(1.0, denominator, out=inv)
         np.multiply(1j, inv, out=turned)
-        np.multiply(d, inv, out=pole)
-        np.multiply(pole, inv, out=pole)
+        np.multiply(np.multiply(d, inv, out=pole), inv, out=pole)
         np.multiply(-1j, pole, out=moved)
         np.multiply(-0.5, pole, out=widened)
         jt[4:, :n], jt[4:, n:] = pole_rows.real, pole_rows.imag

@@ -66,8 +66,8 @@ def levenberg_marquardt(
             diag = np.where(acnorm == 0.0, 1.0, acnorm)
             xnorm = _norm(diag * x)
             delta = 100.0 * xnorm if xnorm else 100.0
-        scaled = acnorm != 0.0
-        gnorm = np.max(np.abs(g[scaled]) / acnorm[scaled], initial=0.0) / fnorm
+        # a zero column has g = 0, which the infinite norm keeps out of the test
+        gnorm = (np.abs(g) / np.where(acnorm == 0.0, np.inf, acnorm)).max() / fnorm
         if gnorm <= gtol:
             return x, 4
         diag = np.maximum(diag, acnorm)
@@ -138,7 +138,7 @@ def _lm_parameter(s, c, delta, par):
     of delta (``lmpar`` of MINPACK).
     """
     full = s > len(s) * _EPS * s[-1]
-    q = np.divide(c, s, out=np.zeros_like(c), where=full)
+    q = np.divide(c, s, out=np.zeros(s.size), where=full)
     dxnorm = _norm(q)
     fp = dxnorm - delta
     if fp <= 0.1 * delta:

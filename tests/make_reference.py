@@ -14,8 +14,11 @@ It holds:
 
 ``tests/test_reference.py`` runs the same configurations and compares them
 with it. A change that alters any data artifact reruns this script and
-states the change. pytest does not collect this file. Run it from the
-repository root with::
+states the change: before it replaces the reference, the script prints the
+largest relative change against it of every float field of the fit
+records, summaries and tables, and of every spectrum column's sum and norm,
+measured as the test measures them (``relative_change``). pytest does not
+collect this file. Run it from the repository root with::
 
     PYTHONPATH=src python tests/make_reference.py
 """
@@ -26,6 +29,7 @@ import ctypes
 import hashlib
 import io
 import json
+import math
 import shutil
 import sys
 import tempfile
@@ -102,6 +106,97 @@ def column_summary(data: bytes) -> dict:
     }
 
 
+def relative_change(got: float, expected: float, scale: float | None = None) -> float:
+    """|got - expected| over ``scale``, by default the larger magnitude.
+
+    Equal values, and two NaNs, change by 0; a value that is finite on one
+    side only, or any change on a zero scale, changes by infinity.
+    """
+    if got == expected or (math.isnan(got) and math.isnan(expected)):
+        return 0.0
+    if scale is None:
+        scale = max(abs(got), abs(expected))
+    if not (math.isfinite(got) and math.isfinite(expected)) or scale == 0.0:
+        return math.inf
+    return abs(got - expected) / scale
+
+
+def close(got: float, expected: float, rtol: float, scale: float | None = None) -> bool:
+    """Whether ``got`` is within ``rtol`` of ``expected`` (see ``relative_change``)."""
+    return relative_change(got, expected, scale) <= rtol
+
+
+def is_number(key: str) -> bool:
+    try:
+        float(key)
+    except ValueError:
+        return False
+    return True
+
+
+def float_pairs(got, expected, key=None):
+    """(key, got, expected) for every float at the same place in two parsed records.
+
+    A float is named by its key; the entries of a mapping keyed by numbers
+    (the squeeze summary's significance per ratio) by the mapping's key.
+    """
+    if isinstance(got, dict) and isinstance(expected, dict):
+        for k in (k for k in expected if k in got):
+            yield from float_pairs(got[k], expected[k], key if is_number(k) else k)
+    elif isinstance(got, list) and isinstance(expected, list) and len(got) == len(expected):
+        for g, e in zip(got, expected):
+            yield from float_pairs(g, e, key)
+    elif isinstance(got, float) and isinstance(expected, float):
+        yield key, got, expected
+
+
+def field_changes(root: Path, reference: Path = REFERENCE) -> dict[str, tuple[float, str]]:
+    """The largest relative change of each field of the artifacts under ``root``.
+
+    A field is a key of the JSON records or a column of the tables, pooled
+    over every run, or ``spectrum <column> sum`` and ``... norm`` for the
+    spectrum CSVs; each maps to its largest change and the artifact it is in.
+    A sum is measured on the scale ``sqrt(rows) * norm`` of the reference.
+    """
+    index = json.loads((reference / "reference.json").read_text())
+    largest: dict[str, tuple[float, str]] = {}
+
+    def note(field, got, expected, name, scale=None):
+        change = relative_change(got, expected, scale)
+        if field not in largest or change > largest[field][0]:
+            largest[field] = (change, name)
+
+    for name in data_artifacts(root):
+        if name not in index["sha256"]:
+            continue
+        data = (root / name).read_bytes()
+        if not is_small(name):
+            got, expected = column_summary(data), index["spectra"][name]
+            columns = zip(expected["header"], got["sum"], expected["sum"], got["norm"], expected["norm"])
+            for column, total, total_ref, norm, norm_ref in columns:
+                note(f"spectrum {column} sum", total, total_ref, name, math.sqrt(expected["rows"]) * norm_ref)
+                note(f"spectrum {column} norm", norm, norm_ref, name)
+            continue
+        kept = (reference / name).read_bytes()
+        if name.endswith(".json"):
+            for key, got, expected in float_pairs(json.loads(data), json.loads(kept)):
+                note(key, got, expected, name)
+        else:
+            (_, columns, got), (_, _, expected) = read_table(data), read_table(kept)
+            if got.shape == expected.shape:
+                for column, g, e in zip(columns, got.T.tolist(), expected.T.tolist()):
+                    for a, b in zip(g, e):
+                        note(column, a, b, name)
+    return largest
+
+
+def print_changes(root: Path, reference: Path = REFERENCE) -> None:
+    """Print each field's largest relative change against ``reference``."""
+    print("largest relative change against the committed reference:")
+    for field, (change, name) in sorted(field_changes(root, reference).items()):
+        print(f"  {field:<28} {change:.2g}" + (f"  {name}" if change else ""))
+
+
 def openblas_core() -> str | None:
     """The kernel OpenBLAS picked for this CPU (``OPENBLAS_CORETYPE`` overrides it).
 
@@ -157,6 +252,8 @@ def write_reference(root: Path, reference: Path = REFERENCE) -> None:
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         run_bundled(Path(tmp))
+        if (REFERENCE / "reference.json").exists():
+            print_changes(Path(tmp))
         write_reference(Path(tmp))
     print(f"wrote {REFERENCE} on {fingerprint()}")
     return 0

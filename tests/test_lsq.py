@@ -145,6 +145,62 @@ class TestSolver:
         assert info in (1, 2, 3, 4)
         np.testing.assert_allclose(x, np.linalg.lstsq(a, b, rcond=None)[0], rtol=1e-10)
 
+    def test_zero_column_stays_at_its_start(self):
+        # a parameter the residual does not depend on: its zero column gets
+        # unit scaling, drops out of the gradient test and spans the null
+        # space of the normal matrix, so the parameter moves only by the
+        # rounding of the eigenvectors (at most 2.1e-15 here)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            a = rng.standard_normal((30, 4))
+            a[:, 2] = 0.0
+            b = rng.standard_normal(30)
+            x0 = rng.standard_normal(4)
+            x, info = levenberg_marquardt(
+                lambda x: a @ x - b, lambda x: a.T, x0, ftol=1e-12, xtol=1e-12, maxfev=100
+            )
+            assert info in (1, 2, 3, 4)
+            assert abs(x[2] - x0[2]) <= 1e-14
+            best = np.linalg.lstsq(a, b, rcond=None)[0]
+            assert np.linalg.norm(a @ x - b) == pytest.approx(np.linalg.norm(a @ best - b), rel=1e-12)
+
+    def test_gradient_test_reads_only_the_nonzero_columns(self):
+        # started at the least-squares point of the other columns, the
+        # gradient test passes at once, whatever the free parameter's value
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((30, 4))
+        a[:, 2] = 0.0
+        b = rng.standard_normal(30)
+        start = np.linalg.lstsq(a, b, rcond=None)[0]
+        start[2] = 1.5
+        evaluations = []
+
+        def fun(x):
+            evaluations.append(1)
+            return a @ x - b
+
+        x, info = levenberg_marquardt(
+            fun, lambda x: a.T, start, ftol=1e-12, xtol=1e-12, gtol=1e-8, maxfev=100
+        )
+        assert (info, len(evaluations)) == (4, 1)
+        np.testing.assert_array_equal(x, start)
+
+    def test_rank_deficient_jacobian(self):
+        # two equal columns make the scaled normal matrix singular: the step
+        # is the pseudo-inverse one, which splits their weight equally
+        rng = np.random.default_rng(6)
+        for _ in range(5):
+            a = rng.standard_normal((30, 4))
+            a[:, 3] = a[:, 1]
+            b = rng.standard_normal(30)
+            x, info = levenberg_marquardt(
+                lambda x: a @ x - b, lambda x: a.T, np.zeros(4), ftol=1e-12, xtol=1e-12, maxfev=100
+            )
+            assert info in (1, 2, 3, 4)
+            best = np.linalg.lstsq(a, b, rcond=None)[0]
+            assert np.linalg.norm(a @ x - b) == pytest.approx(np.linalg.norm(a @ best - b), rel=1e-12)
+            assert x[1] == pytest.approx(x[3], rel=0.0, abs=1e-12)
+
     def test_jacobian_may_reuse_one_buffer(self):
         # a decay on a background, fitted over several Jacobians: a jac that
         # overwrites one array takes the solver down the same iterates

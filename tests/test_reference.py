@@ -32,6 +32,7 @@ kernel (numpy 2.4.6 with its OpenBLAS 0.3.31 on an x86-64 CPU, kernel
 import hashlib
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -41,8 +42,10 @@ from make_reference import (
     REFERENCE,
     SEEDS,
     TABLES,
+    close,
     column_summary,
     data_artifacts,
+    field_changes,
     fingerprint,
     is_small,
     read_table,
@@ -58,16 +61,6 @@ KEY_RTOL = {"center_hz": CENTER_RTOL, **dict.fromkeys(CANCELLING, CANCELLING_RTO
 
 INDEX = json.loads((REFERENCE / "reference.json").read_text())
 BUNDLED = [(seed, name) for seed in SEEDS for name in CONFIGS]
-
-
-def close(got, expected, rtol, scale=None):
-    if got == expected or (math.isnan(got) and math.isnan(expected)):
-        return True
-    if not (math.isfinite(got) and math.isfinite(expected)):
-        return False
-    if scale is None:
-        scale = max(abs(got), abs(expected))
-    return abs(got - expected) <= rtol * scale
 
 
 def value_problems(got, expected, key, where):
@@ -195,3 +188,16 @@ def test_a_1e_9_relative_change_to_one_fit_area_fails_the_values_check():
     mutated = (json.dumps(record, indent=2, sort_keys=True) + "\n").encode()
     (problem,) = artifact_problems(name, mutated, same_bytes=False)
     assert problem.startswith(f"{name}: area is ")
+
+
+def test_the_change_report_names_the_field_and_the_artifact(tmp_path):
+    name = "seed_3/paper_device/fit.json"
+    shutil.copytree(REFERENCE, tmp_path, dirs_exist_ok=True)
+    record = json.loads((tmp_path / name).read_text())
+    record["area"] *= 1.0 + 1e-9
+    (tmp_path / name).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    changes = field_changes(tmp_path)
+    change, where = changes.pop("area")
+    assert change == pytest.approx(1e-9, rel=1e-6) and where == name
+    assert {"center_hz", "subvacuum_significance", "v_measured"} <= changes.keys()
+    assert all(change == 0.0 for change, _ in changes.values())
