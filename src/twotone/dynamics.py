@@ -396,16 +396,17 @@ def _resolvent_solve(
     """Resolvent column ``index`` of (-i w I - c) at every frame frequency w.
 
     Returns the call's workspace, a (25, n_freq) complex array whose first
-    six rows hold x, the column at each grid point; the other rows are
+    six rows hold x, the column at each grid point; the other 19 rows are
     scratch the caller may reuse. With ``adjoint`` the transposed systems
     are solved, giving the resolvent row instead. The four cavity modes
     couple only through the mechanics, so with M = c (or c^T) and s = -i w
     the cavity block of s I - M is the diagonal 1 / u, u = 1 / (s - diag
     M_cc), and eliminating it leaves the 2 x 2 dressed mechanical system
     S x_m = r with S = s I - M_mm - M_mc diag(u) M_cm, the optomechanical
-    self-energy subtracted. That system is solved with partial pivoting, and
-    the cavity rows follow as x_c = u (e_c + M_cm x_m), all over the whole
-    grid at once.
+    self-energy subtracted. That system is solved by its adjugate, x_m =
+    adj(S) r / det S, forward stable for n = 2 (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., 2002), and the cavity rows follow as
+    x_c = u (e_c + M_cm x_m), all over the whole grid at once.
 
     Every array of n_freq entries is a row of the workspace, written in
     place, so that glibc keeps its memory between calls (see twotone.tables).
@@ -416,15 +417,14 @@ def _resolvent_solve(
         If two cavity modes of c couple directly.
     NumericalError
         If -i w I - c is singular at some grid point: a cavity gap s - M_kk
-        or a pivot of S is zero.
+        or det S is zero.
     """
     m = c.T if adjoint else c
     d = np.diagonal(m)[:4]
     if np.count_nonzero(m[:4, :4]) > np.count_nonzero(d):
         raise DomainError("the cavity modes of the drift must couple only through the mechanics")
-    ws = np.empty((25, w.size), dtype=complex)
-    x, u, sch, pivoted, rhs, r = ws[:6], ws[6:10], ws[10:14], ws[14:18], ws[18:20], ws[20:22]
-    factor, pivot, s = ws[22:]
+    ws = np.empty((25, w.size), dtype=complex)  # 4 rows spare keep glibc's trim threshold up
+    x, u, sch, rhs, (det, part, s) = ws[:6], ws[6:10], ws[10:14], ws[14:16], ws[16:19]
     np.multiply(-1j, w, out=s)
     np.subtract(s, d[:, None], out=u)
     # s is imaginary, so a gap can vanish only on a diagonal entry without damping
@@ -437,7 +437,7 @@ def _resolvent_solve(
     # are far smaller than s
     loops = -(to_mech[:, None, :] * from_mech.T[None, :, :]).reshape(4, 4)
     np.matmul(loops, u, out=sch)
-    sch[3] += np.subtract(s, m[5, 5], out=factor)
+    sch[3] += np.subtract(s, m[5, 5], out=part)
     sch[0] += np.subtract(s, m[4, 4], out=s)
     sch[1] -= m[4, 5]
     sch[2] -= m[5, 4]
@@ -445,21 +445,15 @@ def _resolvent_solve(
         np.multiply(to_mech[:, index, None], u[index], out=rhs)
     else:
         rhs[...] = np.eye(2)[index - 4, :, None]
-    # the row with the larger S_k0 is the pivot row: swap the rows of S and rhs where it is S_10
-    swap = np.abs(sch[2]) > np.abs(sch[0])
-    for picked, given in ((pivoted.reshape(2, 2, -1), sch.reshape(2, 2, -1)), (r, rhs)):
-        np.copyto(picked, given)
-        np.copyto(picked, given[::-1], where=swap)
-    top, bottom, (r_top, r_bottom) = pivoted[:2], pivoted[2:], r
-    np.divide(bottom[0], top[0], out=factor)
-    np.subtract(bottom[1], np.multiply(factor, top[1], out=pivot), out=pivot)
-    if not (top[0].all() and pivot.all()):
+    # S^-1 = adj(S) / det S: x_4 = (S_11 r_0 - S_01 r_1) / det and
+    # x_5 = (S_00 r_1 - S_10 r_0) / det, both scaled by one reciprocal of det
+    (s00, s01, s10, s11), (r0, r1) = sch, rhs
+    np.subtract(np.multiply(s00, s11, out=det), np.multiply(s01, s10, out=part), out=det)
+    if not det.all():
         raise NumericalError("the resolvent is singular on the frequency grid")
-    # x_5 = (r_bottom - factor r_top) / pivot, x_4 = (r_top - top_1 x_5) / top_0
-    np.subtract(r_bottom, np.multiply(factor, r_top, out=x[5]), out=x[5])
-    x[5] /= pivot
-    np.subtract(r_top, np.multiply(top[1], x[5], out=x[4]), out=x[4])
-    x[4] /= top[0]
+    np.subtract(np.multiply(s11, r0, out=x[4]), np.multiply(s01, r1, out=part), out=x[4])
+    np.subtract(np.multiply(s00, r1, out=x[5]), np.multiply(s10, r0, out=part), out=x[5])
+    x[4:] *= np.divide(1.0, det, out=det)
     np.matmul(from_mech, x[4:], out=x[:4])
     if index < 4:
         x[index] += 1.0
@@ -509,8 +503,8 @@ def output_spectrum(m: LinearModel, cavity_index: int, grid: NDArray[np.float64]
     ext_col = next(
         2 * k for k, ch in enumerate(m.channels) if ch.label == f"cav{cavity_index}_ext"
     )
-    # the resolvent row reaching the output mode is an adjoint solve; r and
-    # its squared magnitude take at most 15 of the 19 workspace rows past x
+    # the resolvent row reaching the output mode is an adjoint solve; r and its
+    # squared magnitude take 3 rows past x per channel, so at least 15 must be free
     ws = _resolvent_solve(m.complex_drift, grid - shift, 2 * (cavity_index - 1), adjoint=True)
     rows = 2 * len(m.channels)
     r = ws[6 : 6 + rows]

@@ -592,9 +592,9 @@ class TestBatchedResolvent:
 
     @pytest.mark.parametrize("adjoint", [False, True])
     def test_pivots_on_the_larger_candidate(self, adjoint):
-        # at w = 0 the first pivot of the 2 x 2 mechanical system is 1e-13
-        # against a 1 below it: eliminating without the row swap loses ten
-        # digits of the solution
+        # at w = 0 the 2 x 2 mechanical system has S_00 = 1e-13 against a 1
+        # below it: an elimination that divided by S_00 would lose ten digits
+        # of the solution, which the adjugate solve keeps
         drift = -np.eye(6, dtype=complex)
         drift[4:, 4:] = [[-1e-13, -1.0], [1.0, -1.0]]
         if adjoint:
@@ -603,12 +603,18 @@ class TestBatchedResolvent:
         expected = np.linalg.solve(-(drift.T if adjoint else drift), np.eye(6)[4])
         np.testing.assert_allclose(x[:, 0], expected, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("zero", [0, 3, 5])
+    @pytest.mark.parametrize("zero", [0, 3, 5, "mechanics"])
     @pytest.mark.parametrize("adjoint", [False, True])
     def test_singular_resolvent_raises(self, zero, adjoint):
-        # -i w I - C is singular at w = 0 when C has a zero eigenvalue
+        # -i w I - C is singular at w = 0 when C has a zero eigenvalue: a zero
+        # on its diagonal, or decoupled cavities and M_mm = -[[1, 2], [2, 4]],
+        # which leave the dressed system S = [[1, 2], [2, 4]], singular
+        # although none of its entries is zero
         drift = -np.eye(6, dtype=complex)
-        drift[zero, zero] = 0.0
+        if zero == "mechanics":
+            drift[4:, 4:] = -np.array([[1.0, 2.0], [2.0, 4.0]])
+        else:
+            drift[zero, zero] = 0.0
         with pytest.raises(NumericalError, match="singular"):
             _resolvent_solve(drift, np.array([1.0, 0.0]), 0, adjoint=adjoint)
 

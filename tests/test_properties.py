@@ -108,8 +108,9 @@ def test_resolvent_solve_matches_per_frequency_solve(
 ):
     # The drift keeps the one structure the solver relies on, a diagonal
     # cavity block, and is generic otherwise. The grid reaches from well
-    # inside the spectrum, where the pivot of the 2 x 2 mechanical system is
-    # the lower entry, to far outside, where it is the diagonal one.
+    # inside the spectrum, where the first column of the 2 x 2 mechanical
+    # system is largest in its lower entry, to far outside, where it is
+    # largest in the diagonal one.
     rng = np.random.default_rng(seed)
     if structure == "undriven":
         # diagonal: the mechanics and every cavity mode are decoupled
