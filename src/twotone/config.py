@@ -3,8 +3,8 @@
 Physical quantities carry their unit in the key name (``_hz``, ``_rad``;
 occupancies and ratios are dimensionless) and are converted to angular
 frequencies on load. The schema is strict: unknown keys are rejected with
-their full path, physical parameters have no defaults, and only numerical
-knobs (grid sizes, spans) may be omitted.
+their full path, and physical parameters have no defaults but a drive's
+detuning and phase (0). Each section's fields are listed once, in its table.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ MIN_RATIO_SPREAD = 1e-4
 # Floating parameters of each sideband fit of the detuned pair, whose
 # linewidth and center are pinned: a window must hold more samples than this.
 SIDEBAND_FIT_PARAMETERS = 3
+REQUIRED = object()  # the default of a key that must be given
 
 
 @dataclass(frozen=True)
@@ -58,10 +59,43 @@ class Scenario:
     outputs: str | None = None
 
 
-def _require(mapping: dict, key: str, path: str):
-    if key not in mapping:
-        raise ConfigError(f"missing required field {path}.{key}")
-    return mapping[key]
+def _read(section, path: str, table: dict) -> dict:
+    """``section`` read by ``table``, which maps each key it allows to ``(keyword, reader, default)``.
+
+    A key's value is kept under its keyword as ``reader(value, f"{path}.{key}")``
+    returns it. An absent key takes its default, except that ``REQUIRED`` makes
+    it an error and ``None`` leaves the keyword to the consumer's own default.
+    """
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path} must be an object")
+    unknown = section.keys() - table.keys()
+    if unknown:
+        raise ConfigError(f"unknown field {path}.{sorted(unknown)[0]}")
+    fields = {}
+    for key, (keyword, reader, default) in table.items():
+        if key in section:
+            fields[keyword] = reader(section[key], f"{path}.{key}")
+        elif default is REQUIRED:
+            raise ConfigError(f"missing required field {path}.{key}")
+        elif default is not None:
+            fields[keyword] = default
+    return fields
+
+
+def _raw(value, path: str):  # a section read with its own table once its context is known
+    return value
+
+
+def _checked(read, holds, message: str):
+    """The reader ``read``, refusing a result for which ``holds`` is false with ``message`` formatted by it."""
+
+    def reader(value, path: str):
+        result = read(value, path)
+        if not holds(result):
+            raise ConfigError(f"{path} {message.format(result)}")
+        return result
+
+    return reader
 
 
 def _number(value, path: str) -> float:
@@ -76,21 +110,25 @@ def _integer(value, path: str) -> int:
     return value
 
 
-def _check_keys(mapping: dict, allowed: set[str], path: str) -> None:
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"{path} must be an object")
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ConfigError(f"unknown field {path}.{sorted(unknown)[0]}")
+_positive = _checked(_number, lambda x: 0.0 < x < math.inf, "must be positive and finite, got {}")
+_finite = _checked(_number, math.isfinite, "must be finite, got {}")
+_rate_ratio = _checked(_finite, lambda ratio: ratio >= 0, "= {:g}: scattering rate must be non-negative")
+# every fitted area is divided by the measured rate
+_measured_ratio = _checked(_rate_ratio, lambda ratio: ratio != 0, "= 0: a measured scattering rate must be positive")
+_points = _checked(_integer, lambda n: n >= 2, "must be at least 2, got {}")
+_n_phases = _checked(_integer, lambda n: n >= 5, "must be at least 5")
+_cavity = _checked(_integer, lambda n: n in (1, 2), "must be 1 or 2")
+_sideband = _checked(_raw, lambda text: text in (LOWER, UPPER), "must be 'lower' or 'upper'")
+_output_dir = _checked(_raw, lambda text: text is None or isinstance(text, str), "must be a string path")
+_note = _checked(_raw, lambda text: text is None or isinstance(text, str), "must be a string")
 
 
-def _rate_ratio(value, path: str) -> float:
-    ratio = _number(value, path)
-    if not math.isfinite(ratio):
-        raise ConfigError(f"{path} must be finite, got {ratio}")
-    if ratio < 0:
-        raise ConfigError(f"{path} = {ratio:g}: scattering rate must be non-negative")
-    return ratio
+def _hz(value, path: str) -> float:
+    return TWO_PI * _number(value, path)
+
+
+def _positive_hz(value, path: str) -> float:
+    return TWO_PI * _positive(value, path)
 
 
 def _rate_ratios(value, path: str) -> list[float]:
@@ -99,71 +137,83 @@ def _rate_ratios(value, path: str) -> list[float]:
     return [_rate_ratio(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
-def _measurement_ratio(raw: dict, path: str) -> float:
-    """The measurement pair's rate ratio, positive: every fitted area is divided by its rate."""
-    ratio = _rate_ratio(_require(raw, "measurement_ratio", path), f"{path}.measurement_ratio")
-    if ratio == 0:
-        raise ConfigError(f"{path}.measurement_ratio = 0: a measured scattering rate must be positive")
-    return ratio
+def _scenario_name(value, path: str) -> str:
+    from .scenarios import SCENARIOS  # which imports this module
+
+    if not isinstance(value, str) or value not in SCENARIOS:
+        raise ConfigError(f"{path} must be one of {tuple(SCENARIOS)}, got {value!r}")
+    return value
 
 
-def _grid_points(raw: dict, path: str) -> int:
-    points = _integer(raw.get("points", 2001), f"{path}.points")
-    if points < 2:
-        raise ConfigError(f"{path}.points must be at least 2, got {points}")
-    return points
+def _mechanics(value, path: str) -> MechanicalMode:
+    return MechanicalMode(**_read(value, path, MECHANICS))
 
 
-def _parse_mechanics(section: dict) -> MechanicalMode:
-    path = "system.mechanics"
-    _check_keys(section, {"frequency_hz", "damping_hz", "thermal_occupancy"}, path)
-    return MechanicalMode(
-        omega=TWO_PI * _number(_require(section, "frequency_hz", path), f"{path}.frequency_hz"),
-        gamma=TWO_PI * _number(_require(section, "damping_hz", path), f"{path}.damping_hz"),
-        n_thermal=_number(_require(section, "thermal_occupancy", path), f"{path}.thermal_occupancy"),
-    )
+def _cavities(value, path: str) -> tuple[Cavity, Cavity]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{path} must list exactly two cavities")
+    return tuple(Cavity(**_read(c, f"{path}[{i}]", CAVITY)) for i, c in enumerate(value))
 
 
-def _parse_cavity(section: dict, index: int) -> Cavity:
-    path = f"system.cavities[{index}]"
-    _check_keys(
-        section,
-        {"frequency_hz", "linewidth_hz", "external_coupling_hz", "vacuum_coupling_hz", "thermal_occupancy"},
-        path,
-    )
-    return Cavity(
-        omega=TWO_PI * _number(_require(section, "frequency_hz", path), f"{path}.frequency_hz"),
-        kappa=TWO_PI * _number(_require(section, "linewidth_hz", path), f"{path}.linewidth_hz"),
-        kappa_ext=TWO_PI
-        * _number(_require(section, "external_coupling_hz", path), f"{path}.external_coupling_hz"),
-        g0=TWO_PI * _number(_require(section, "vacuum_coupling_hz", path), f"{path}.vacuum_coupling_hz"),
-        n_thermal=_number(_require(section, "thermal_occupancy", path), f"{path}.thermal_occupancy"),
-    )
+def _noise(value, path: str) -> NoiseModel:
+    return NoiseModel(**_read(value, path, NOISE))
 
 
-def _parse_drive(section: dict, index: int) -> Drive:
-    path = f"drives[{index}]"
-    _check_keys(section, {"cavity", "sideband", "rate_hz", "detuning_hz", "phase_rad"}, path)
-    cavity = _integer(_require(section, "cavity", path), f"{path}.cavity")
-    sideband = _require(section, "sideband", path)
-    if sideband not in ("lower", "upper"):
-        raise ConfigError(f"{path}.sideband must be 'lower' or 'upper'")
-    return Drive(
-        cavity_index=cavity,
-        sideband=sideband,
-        rate=TWO_PI * _number(_require(section, "rate_hz", path), f"{path}.rate_hz"),
-        detuning=TWO_PI * _number(section.get("detuning_hz", 0.0), f"{path}.detuning_hz"),
-        phase=_number(section.get("phase_rad", 0.0), f"{path}.phase_rad"),
-    )
-
-
-def _parse_noise(section: dict, path: str) -> NoiseModel:
-    _check_keys(section, {"floor", "averages", "seed"}, path)
-    return NoiseModel(
-        floor=_number(_require(section, "floor", path), f"{path}.floor"),
-        averages=_integer(_require(section, "averages", path), f"{path}.averages"),
-        seed=_integer(_require(section, "seed", path), f"{path}.seed"),
-    )
+# The schema: one table per section, mapping each JSON key to (keyword, reader, default).
+# The top level prefixes no path, so parse_config reads its sections itself.
+DOCUMENT = {
+    "system": ("system", _raw, REQUIRED),
+    "drives": ("drives", _raw, []),
+    "scenario": ("scenario", _raw, REQUIRED),
+}
+SYSTEM = {"mechanics": ("mech", _mechanics, REQUIRED), "cavities": ("cavities", _cavities, REQUIRED)}
+MECHANICS = {
+    "frequency_hz": ("omega", _hz, REQUIRED),
+    "damping_hz": ("gamma", _hz, REQUIRED),
+    "thermal_occupancy": ("n_thermal", _number, REQUIRED),
+}
+CAVITY = {
+    "frequency_hz": ("omega", _hz, REQUIRED),
+    "linewidth_hz": ("kappa", _hz, REQUIRED),
+    "external_coupling_hz": ("kappa_ext", _hz, REQUIRED),
+    "vacuum_coupling_hz": ("g0", _hz, REQUIRED),
+    "thermal_occupancy": ("n_thermal", _number, REQUIRED),
+}
+DRIVE = {
+    "cavity": ("cavity_index", _integer, REQUIRED),
+    "sideband": ("sideband", _sideband, REQUIRED),
+    "rate_hz": ("rate", _hz, REQUIRED),
+    "detuning_hz": ("detuning", _hz, None),
+    "phase_rad": ("phase", _number, None),
+}
+SCENARIO = {
+    "name": ("name", _scenario_name, REQUIRED),
+    "noise": ("noise", _noise, REQUIRED),
+    "params": ("params", _raw, REQUIRED),  # by the table of the scenario named
+    "output_dir": ("outputs", _output_dir, None),
+    "note": ("note", _note, None),
+}
+NOISE = {
+    "floor": ("floor", _number, REQUIRED),
+    "averages": ("averages", _integer, REQUIRED),
+    "seed": ("seed", _integer, REQUIRED),
+}
+# Each scenario's params, listed beside its check and runner in scenarios.SCENARIOS
+POINTS = ("points", _points, 2001)
+RATIOS = ("ratios", _rate_ratios, REQUIRED)
+MEASUREMENT_RATIO = ("measurement_ratio", _measured_ratio, REQUIRED)
+BACKACTION_PARAMS = {
+    "ratios": RATIOS,
+    "pair_detuning_hz": ("pair_detuning", _positive_hz, REQUIRED),
+    "points": POINTS,
+}
+SQUEEZE_PARAMS = {"ratios": RATIOS, "measurement_ratio": MEASUREMENT_RATIO, "points": POINTS}
+TOMOGRAPHY_PARAMS = {
+    "n_phases": ("n_phases", _n_phases, REQUIRED),
+    "measurement_ratio": MEASUREMENT_RATIO,
+    "points": POINTS,
+}
+PROBE_PARAMS = {"cavity": ("cavity", _cavity, REQUIRED), "points": POINTS, "span_hz": ("span", _positive_hz, None)}
 
 
 def _cooling_drive(ds: DriveSet, scenario: str, upper_error: str | None = None) -> Drive:
@@ -207,15 +257,14 @@ def sideband_samples(
     return tuple(np.abs(freq - c) < window for c in (-delta, delta))
 
 
-def parse_backaction_params(raw: dict, path: str, cfg: SystemConfig, ds: DriveSet) -> dict:
-    """``scenario.params`` of ``backaction_sweep``, with its cooling drive.
+def check_backaction_params(params: dict, path: str, cfg: SystemConfig, ds: DriveSet) -> None:
+    """The cross-field checks of ``backaction_sweep``; adds its cooling drive as ``params["cooling"]``.
 
     Each point's detuned pair is fitted sideband by sideband; a grid that
     leaves too few samples in a window for that fit is refused here, from
     the very window and grid the run will use.
     """
-    _check_keys(raw, {"ratios", "pair_detuning_hz", "points"}, path)
-    ratios = _rate_ratios(_require(raw, "ratios", path), f"{path}.ratios")
+    ratios, delta, points = params["ratios"], params["pair_detuning"], params["points"]
     if 0.0 in ratios:  # each sets the measurement pair's rates, which fitted areas are divided by
         raise ConfigError(f"{path}.ratios[{ratios.index(0.0)}] = 0: a measured scattering rate must be positive")
     if not max(ratios) - min(ratios) > MIN_RATIO_SPREAD * max(ratios):
@@ -227,12 +276,7 @@ def parse_backaction_params(raw: dict, path: str, cfg: SystemConfig, ds: DriveSe
         backaction_line_fit(ratios, [0.0] * len(ratios), [1.0] * len(ratios))
     except DomainError as exc:
         raise ConfigError(f"{path}.ratios do not admit the backaction line fit: {exc}") from None
-    detuning = _number(_require(raw, "pair_detuning_hz", path), f"{path}.pair_detuning_hz")
-    if not 0.0 < detuning < math.inf:
-        raise ConfigError(f"{path}.pair_detuning_hz must be positive and finite, got {detuning}")
-    points = _grid_points(raw, path)
     cooling = _cooling_drive(ds, "backaction_sweep", "backaction_sweep runs against a pure cooling drive")
-    delta = TWO_PI * detuning
     widths = set()  # one in practice: the balanced pair leaves the linewidth as it is
     for ratio in ratios:
         rate = ratio * cooling.rate
@@ -250,14 +294,11 @@ def parse_backaction_params(raw: dict, path: str, cfg: SystemConfig, ds: DriveSe
                 f"{path}.points = {points} leaves {fewest} samples in a sideband fit window; "
                 f"the fit needs more than {SIDEBAND_FIT_PARAMETERS}"
             )
-    return {"ratios": ratios, "pair_detuning": delta, "points": points, "cooling": cooling}
+    params["cooling"] = cooling
 
 
-def parse_squeeze_params(raw: dict, path: str, cfg: SystemConfig, ds: DriveSet) -> dict:
-    """``scenario.params`` of ``squeeze_sweep``, with its cooling drive."""
-    _check_keys(raw, {"ratios", "measurement_ratio", "points"}, path)
-    ratios = _rate_ratios(_require(raw, "ratios", path), f"{path}.ratios")
-    ratio, points = _measurement_ratio(raw, path), _grid_points(raw, path)
+def check_squeeze_params(params: dict, path: str, cfg: SystemConfig, ds: DriveSet) -> None:
+    """The drive requirements of ``squeeze_sweep``; adds its cooling drive as ``params["cooling"]``."""
     upper = "squeeze_sweep constructs the upper control tone per point; remove it from the drives list"
     cooling = _cooling_drive(ds, "squeeze_sweep", upper)
     if cooling.detuning != 0.0 or cooling.phase != 0.0:
@@ -265,59 +306,18 @@ def parse_squeeze_params(raw: dict, path: str, cfg: SystemConfig, ds: DriveSet) 
             "scenario squeeze_sweep requires a resonant cooling tone at phase 0, since it builds "
             f"each control pair from its rate alone; got {cooling.detuning / TWO_PI:g} Hz, {cooling.phase:g} rad"
         )
-    return {"ratios": ratios, "measurement_ratio": ratio, "points": points, "cooling": cooling}
+    params["cooling"] = cooling
 
 
-def parse_tomography_params(raw: dict, path: str, cfg: SystemConfig, ds: DriveSet) -> dict:
-    """``scenario.params`` of ``tomography``, with its cooling drive."""
-    _check_keys(raw, {"n_phases", "measurement_ratio", "points"}, path)
-    n_phases = _integer(_require(raw, "n_phases", path), f"{path}.n_phases")
-    if n_phases < 5:
-        raise ConfigError(f"{path}.n_phases must be at least 5")
-    ratio, points = _measurement_ratio(raw, path), _grid_points(raw, path)
-    cooling = _cooling_drive(ds, "tomography")
+def check_tomography_params(params: dict, path: str, cfg: SystemConfig, ds: DriveSet) -> None:
+    """The drive requirements of ``tomography``; adds its cooling drive as ``params["cooling"]``."""
+    params["cooling"] = _cooling_drive(ds, "tomography")
     for d in ds.drives:
         if d.detuning != 0.0:
             raise ConfigError(
                 "scenario tomography requires resonant drives for its closed-form theory column; "
                 f"the cavity {d.cavity_index} {d.sideband} tone is detuned by {d.detuning / TWO_PI:g} Hz"
             )
-    return {"n_phases": n_phases, "measurement_ratio": ratio, "points": points, "cooling": cooling}
-
-
-def parse_probe_params(raw: dict, path: str, cfg: SystemConfig, ds: DriveSet) -> dict:
-    """``scenario.params`` of the one-cavity scenarios: ``driven_response``, ``single_spectrum``."""
-    _check_keys(raw, {"cavity", "points", "span_hz"}, path)
-    cavity = _integer(_require(raw, "cavity", path), f"{path}.cavity")
-    if cavity not in (1, 2):
-        raise ConfigError(f"{path}.cavity must be 1 or 2")
-    params = {"cavity": cavity, "points": _grid_points(raw, path)}
-    if "span_hz" in raw:
-        span = _number(raw["span_hz"], f"{path}.span_hz")
-        if not 0.0 < span < math.inf:
-            raise ConfigError(f"{path}.span_hz must be positive and finite, got {span}")
-        params["span"] = TWO_PI * span
-    return params
-
-
-def _parse_scenario(section: dict, cfg: SystemConfig, ds: DriveSet) -> Scenario:
-    # the table imports this module's parsers, so it is looked up here
-    from .scenarios import SCENARIOS
-
-    path = "scenario"
-    _check_keys(section, {"name", "noise", "params", "output_dir", "note"}, path)
-    name = _require(section, "name", path)
-    if name not in SCENARIOS:
-        raise ConfigError(f"{path}.name must be one of {tuple(SCENARIOS)}, got {name!r}")
-    noise = _parse_noise(_require(section, "noise", path), f"{path}.noise")
-    parse_params, _ = SCENARIOS[name]
-    params = parse_params(_require(section, "params", path), f"{path}.params", cfg, ds)
-    outputs = section.get("output_dir")
-    if outputs is not None and not isinstance(outputs, str):
-        raise ConfigError(f"{path}.output_dir must be a string path")
-    if not isinstance(section.get("note"), (str, type(None))):
-        raise ConfigError(f"{path}.note must be a string")
-    return Scenario(name=name, params=params, noise=noise, outputs=outputs)
 
 
 def load_config(path) -> tuple[SystemConfig, DriveSet, Scenario]:
@@ -344,16 +344,11 @@ def load_config(path) -> tuple[SystemConfig, DriveSet, Scenario]:
 
 def parse_config(document: dict) -> tuple[SystemConfig, DriveSet, Scenario]:
     """Validate an already-parsed configuration document."""
-    _check_keys(document, {"system", "drives", "scenario"}, "config")
-    system = _require(document, "system", "config")
-    _check_keys(system, {"mechanics", "cavities"}, "system")
-    mech = _parse_mechanics(_require(system, "mechanics", "system"))
-    cavities_raw = _require(system, "cavities", "system")
-    if not isinstance(cavities_raw, list) or len(cavities_raw) != 2:
-        raise ConfigError("system.cavities must list exactly two cavities")
+    from .scenarios import SCENARIOS  # which imports this module
+
+    sections = _read(document, "config", DOCUMENT)
     try:
-        cavities = tuple(_parse_cavity(c, i) for i, c in enumerate(cavities_raw))
-        cfg = SystemConfig(mech=mech, cavities=cavities)
+        cfg = SystemConfig(**_read(sections["system"], "system", SYSTEM))
         for i, cavity in enumerate(cfg.cavities):
             # every scenario builds the rotating-wave linear model, which needs this
             ratio = cfg.mech.omega / cavity.kappa
@@ -362,14 +357,18 @@ def parse_config(document: dict) -> tuple[SystemConfig, DriveSet, Scenario]:
                     f"system.cavities[{i}]: omega_m/kappa = {ratio:.6g} must exceed "
                     f"{RESOLVED_SIDEBAND_RATIO:g}, the resolved-sideband condition of the linear model"
                 )
-        drives_raw = document.get("drives", [])
-        if not isinstance(drives_raw, list):
+        if not isinstance(sections["drives"], list):
             raise ConfigError("drives must be a list")
-        ds = DriveSet(tuple(_parse_drive(d, i) for i, d in enumerate(drives_raw)))
+        ds = DriveSet(tuple(Drive(**_read(d, f"drives[{i}]", DRIVE)) for i, d in enumerate(sections["drives"])))
+        scenario = _read(sections["scenario"], "scenario", SCENARIO)
+        table, check, _ = SCENARIOS[scenario["name"]]
+        params = _read(scenario["params"], "scenario.params", table)
+        if check is not None:
+            check(params, "scenario.params", cfg, ds)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
-    scenario = _parse_scenario(_require(document, "scenario", "config"), cfg, ds)
-    return cfg, ds, scenario
+    outputs = scenario.get("outputs")
+    return cfg, ds, Scenario(name=scenario["name"], params=params, noise=scenario["noise"], outputs=outputs)
 
 
 def config_digest(path) -> str:

@@ -14,7 +14,7 @@ A runner is called as ``runner(run, ds, params)`` and writes only through
 its run context ``run`` (``_Run``), which lists each artifact in the
 manifest once it is written and gives each sweep point its
 ``failure_point`` and its entry in ``timings_s``. A scenario's params
-parser checks what it requires of the configured drives and hands a sweep
+check tests what it requires of the configured drives and hands a sweep
 its cooling drive as ``params["cooling"]``, so every ``ConfigError`` comes
 from ``load_config``, before ``out_dir`` exists.
 """
@@ -30,17 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, config
 from .analytic import quadrature_variances, variance_of_phase
-from .config import (
-    Scenario,
-    parse_backaction_params,
-    parse_probe_params,
-    parse_squeeze_params,
-    parse_tomography_params,
-    sideband_samples,
-    sideband_window,
-)
+from .config import Scenario, sideband_samples, sideband_window
 from .dynamics import (
     build_linear_model,
     driven_response,
@@ -195,7 +187,7 @@ def run_scenario(
         config_digest=config_digest,
     )
     run = _Run(cfg, noise, out_dir, manifest)
-    _, runner = SCENARIOS[scenario.name]
+    *_, runner = SCENARIOS[scenario.name]
     start = time.perf_counter()
     try:
         runner(run, ds, scenario.params)
@@ -390,12 +382,13 @@ def _run_single_spectrum(run: _Run, ds: DriveSet, params: dict) -> None:
     run.record("summary.json", {"integrated_flux": spectrum.integrated_flux()})
 
 
-# Every scenario by name: the parser of its ``scenario.params`` section and
-# its runner. Adding a scenario is one entry here plus those two functions.
+# Every scenario by name: the table of its ``scenario.params`` section, the
+# check that runs once the table is read (None if there is none) and its
+# runner. Adding a scenario is one entry here plus those three.
 SCENARIOS = {
-    "backaction_sweep": (parse_backaction_params, _run_backaction_sweep),
-    "squeeze_sweep": (parse_squeeze_params, _run_squeeze_sweep),
-    "tomography": (parse_tomography_params, _run_tomography),
-    "driven_response": (parse_probe_params, _run_driven_response),
-    "single_spectrum": (parse_probe_params, _run_single_spectrum),
+    "backaction_sweep": (config.BACKACTION_PARAMS, config.check_backaction_params, _run_backaction_sweep),
+    "squeeze_sweep": (config.SQUEEZE_PARAMS, config.check_squeeze_params, _run_squeeze_sweep),
+    "tomography": (config.TOMOGRAPHY_PARAMS, config.check_tomography_params, _run_tomography),
+    "driven_response": (config.PROBE_PARAMS, None, _run_driven_response),
+    "single_spectrum": (config.PROBE_PARAMS, None, _run_single_spectrum),
 }

@@ -31,8 +31,8 @@ class NoiseModel:
 
     ``floor`` is the added flux density in the same scattered-photon units
     as the ideal spectrum, ``averages`` the number M of averaged
-    periodograms, ``seed`` the base RNG seed, which numpy's ``SeedSequence``
-    takes only when it is non-negative.
+    periodograms, below 2**64, ``seed`` the base RNG seed, which numpy's
+    ``SeedSequence`` takes only when it is non-negative.
     """
 
     floor: float = 20.0
@@ -44,6 +44,8 @@ class NoiseModel:
             raise DomainError(f"noise floor must be non-negative and finite, got {self.floor}")
         if self.averages < 1:
             raise DomainError("averages must be at least 1")
+        if self.averages >= 2**64:  # np.sqrt takes no larger Python int
+            raise DomainError(f"averages must be below 2**64, got {self.averages}")
         if int(self.averages) != self.averages:
             raise DomainError("averages must be an integer")
         if self.seed < 0:

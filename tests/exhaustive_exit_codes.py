@@ -3,18 +3,20 @@
 The exhaustive form of ``test_cli.py::test_schema_valid_input_never_exits_one``,
 which draws a sample of the same perturbations: each of the six bundled
 configurations on at most 101 grid points, with one field at a time replaced
-by each value of ``PERTURBATIONS``. The fields are those of
-``perturbable_fields``: every params and noise field (the first and last
-entry of a list), and every numeric field of the mechanics, the cavities and
-the drives. Warnings are errors, as in the test suite. Each document goes
-through ``validate`` and ``run``, and must keep the rules of
-``both_commands``: exit 0, 2, 3 or 4 without a traceback; ``validate`` exits
-2 exactly when ``run`` does, and such a run makes no output directory;
-when ``validate`` exits 3, ``run`` exits 3 and makes no output directory;
-an output directory holds exactly its manifest's artifacts and
-``manifest.json``. Any broken rule is listed and makes the scan exit 1. The
-scan ends with the tally of (validate's exit, run's exit, output directory
-made).
+by each value of its kind. ``perturbable_fields`` lists the fields and their
+values from the schema tables of ``twotone.config``: every field of every
+section, absent optional fields included, and the first and last entry of a
+list; a number takes ``PERTURBATIONS``, an integer ``INTEGERS`` (a grid size
+all but 2**64, which would be allocated), a string ``STRINGS``, and a choice
+each other valid choice and ``STRINGS``. Warnings are errors, as in the test
+suite. Each document goes through ``validate`` and ``run``, and must keep
+the rules of ``both_commands``: exit 0, 2, 3 or 4 without a traceback;
+``validate`` exits 2 exactly when ``run`` does, and such a run makes no
+output directory; when ``validate`` exits 3, ``run`` exits 3 and makes no
+output directory; an output directory holds exactly its manifest's artifacts
+and ``manifest.json``. Any broken rule is listed and makes the scan exit 1.
+The scan ends with the tally of (validate's exit, run's exit, output
+directory made).
 
 pytest does not collect this file. Run it from the repository root with::
 
@@ -30,7 +32,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from test_cli import BUNDLED, PERTURBATIONS, both_commands, perturbable_fields, perturbed, small_bundled_document  # noqa: E402
+from test_cli import BUNDLED, both_commands, perturbable_fields, perturbed, small_bundled_document  # noqa: E402
 
 
 def scan() -> int:
@@ -38,8 +40,8 @@ def scan() -> int:
     start = time.perf_counter()
     tally, bad = Counter(), []
     for name in BUNDLED:
-        for path in perturbable_fields(small_bundled_document(name)):
-            for value in PERTURBATIONS:
+        for path, values in perturbable_fields(small_bundled_document(name)):
+            for value in values:
                 try:
                     outcome, broken = both_commands(perturbed(small_bundled_document(name), path, value))
                 except Exception:

@@ -14,11 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twotone
+from twotone import config
 from twotone.cli import main
 from twotone.config import bundled_config_path, load_config, parse_config
 from twotone.errors import ConfigError
-from twotone.scenarios import run_scenario
-from twotone.sysmodel import validate_system
+from twotone.scenarios import SCENARIOS, run_scenario
+from twotone.sysmodel import SIDEBANDS, validate_system
 
 TWO_PI = 2.0 * math.pi
 
@@ -278,6 +279,13 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("averages, outcome", [(2**64, (2, 2, False)), (2**64 - 1, (0, 0, True))])
+    def test_averages_beyond_numpy_integers_exit_two_before_any_artifact(self, averages, outcome):
+        # np.sqrt takes a Python int only below 2**64
+        document = small_bundled_document("paper_device.json")
+        document["scenario"]["noise"]["averages"] = averages
+        assert both_commands(document) == (outcome, [])
+
     @pytest.mark.parametrize(
         "name, points",
         [("squeeze_sweep.json", 2), ("tomography.json", 2)],
@@ -339,31 +347,58 @@ class TestExitCodes:
         assert manifest["failure"].startswith("FitError")
 
 
-# Values that each replace one numeric field of a bundled configuration
+# The values that replace one field, by the kind of its reader in twotone.config
 PERTURBATIONS = (0, -1, 1e-12, 1e12, math.nan, math.inf)
+INTEGERS = (0, -1, 1, 2, 3, True, 1.5, 2**64)
+STRINGS = ("x", 1, None, ["x"])
+KINDS = {
+    config._number: PERTURBATIONS,
+    config._hz: PERTURBATIONS,
+    config._positive_hz: PERTURBATIONS,
+    config._rate_ratios: PERTURBATIONS,
+    config._measured_ratio: PERTURBATIONS,
+    config._integer: INTEGERS,
+    config._cavity: INTEGERS,
+    # the schema bounds no grid size from above, and 2**64 points would be allocated
+    config._points: INTEGERS[:-1],
+    config._n_phases: INTEGERS[:-1],
+    config._output_dir: STRINGS,
+    config._note: STRINGS,
+}
+CHOICES = {config._sideband: SIDEBANDS, config._scenario_name: tuple(SCENARIOS)}
 
 
 def perturbable_fields(document):
-    """The path of every field a perturbation may replace, as a tuple of keys.
+    """Each field a perturbation may replace, as ``(path, values)``; a path is a tuple of keys.
 
-    Every field of the scenario's params and noise sections, the first and
-    last entry of a list there, and every numeric field of the mechanics,
-    of each cavity and of each drive except its cavity index.
+    The fields are the rows of the tables in ``twotone.config`` for every
+    section of ``document``, absent optional fields included; a list field
+    contributes its first and last entry. The values are those of the
+    field's kind: a number takes ``PERTURBATIONS``, an integer ``INTEGERS``
+    and a string ``STRINGS``; a choice takes each other valid choice and
+    ``STRINGS``.
     """
+    scenario = document["scenario"]
+    sections = [(("system", "mechanics"), config.MECHANICS)]
+    sections += [(("system", "cavities", i), config.CAVITY) for i in range(len(document["system"]["cavities"]))]
+    sections += [(("drives", i), config.DRIVE) for i in range(len(document.get("drives", [])))]
+    sections += [(("scenario",), config.SCENARIO), (("scenario", "noise"), config.NOISE)]
+    sections += [(("scenario", "params"), SCENARIOS[scenario["name"]][0])]
     fields = []
-    for section in ("params", "noise"):
-        for key, value in document["scenario"][section].items():
+    for path, table in sections:
+        section = document
+        for key in path:
+            section = section[key]
+        for key, (_, reader, _) in table.items():
+            if reader is config._noise or reader is config._raw:
+                continue  # a section, walked on its own
+            value = section.get(key)
+            if reader in CHOICES:
+                values = [choice for choice in CHOICES[reader] if choice != value] + list(STRINGS)
+            else:
+                values = KINDS[reader]
             tails = ((0,), (len(value) - 1,)) if isinstance(value, list) else ((),)
-            fields += [("scenario", section, key) + tail for tail in tails]
-    entries = [(("system", "mechanics"), document["system"]["mechanics"])]
-    entries += [(("system", "cavities", i), cav) for i, cav in enumerate(document["system"]["cavities"])]
-    entries += [(("drives", i), drive) for i, drive in enumerate(document["drives"])]
-    for path, entry in entries:
-        fields += [
-            path + (key,)
-            for key, value in entry.items()
-            if key != "cavity" and isinstance(value, (int, float)) and not isinstance(value, bool)
-        ]
+            fields += [(path + (key,) + tail, values) for tail in tails]
     return fields
 
 
@@ -389,8 +424,8 @@ def small_bundled_document(name):
 def perturbed_documents(draw):
     """A bundled configuration on at most 101 grid points, with one field perturbed."""
     document = small_bundled_document(draw(st.sampled_from(BUNDLED)))
-    path = draw(st.sampled_from(perturbable_fields(document)))
-    return perturbed(document, path, draw(st.sampled_from(PERTURBATIONS)))
+    path, values = draw(st.sampled_from(perturbable_fields(document)))
+    return perturbed(document, path, draw(st.sampled_from(values)))
 
 
 def both_commands(document):
@@ -441,14 +476,18 @@ def test_schema_valid_input_never_exits_one(document):
 class TestScenarioSchema:
     """Each scenario's params checks, with the path of the offending field."""
 
-    def test_unknown_name_lists_every_scenario(self):
+    @pytest.mark.parametrize(
+        "name", ["frequency_conversion", ["tomography"], {"tomography": 1}], ids=["string", "list", "object"]
+    )
+    def test_unknown_name_lists_every_scenario(self, name):
+        # a list or an object is no name either, though it cannot be looked up
         document = minimal_document()
-        document["scenario"]["name"] = "frequency_conversion"
+        document["scenario"]["name"] = name
         with pytest.raises(ConfigError) as info:
             parse_config(document)
         assert str(info.value) == (
             "scenario.name must be one of ('backaction_sweep', 'squeeze_sweep', "
-            "'tomography', 'driven_response', 'single_spectrum'), got 'frequency_conversion'"
+            f"'tomography', 'driven_response', 'single_spectrum'), got {name!r}"
         )
 
     @pytest.mark.parametrize(
